@@ -6,9 +6,7 @@ verification, count disagreement, unusable value), 2 malformed input
 given input.
 
 Graphs come from a file argument or from ``--builtin``; builtin names
-are tripod, theta, dumbbell, loop_with_leg and cycle:N.  The
-MIURA_THREADS environment variable (a positive integer) caps how many
-worker threads a multi-job invocation may use.
+are tripod, theta, dumbbell, loop_with_leg and cycle:N.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import semigraph
 from .numbering import (
@@ -49,19 +46,6 @@ BUILTINS = {
 }
 
 
-def worker_cap() -> int:
-    raw = os.environ.get("MIURA_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise StructureError(f"MIURA_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise StructureError(f"MIURA_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
 def _load_graph(args) -> semigraph.MarkedSemiGraph:
     if args.builtin is not None and args.graph is not None:
         raise StructureError("give either a graph file or --builtin, not both")
@@ -71,10 +55,9 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
             return BUILTINS[name]()
         if name.startswith("cycle:"):
             try:
-                n = int(name.split(":", 1)[1])
-            except ValueError:
+                return semigraph.cycle_with_legs(int(name.split(":", 1)[1]))
+            except ValueError:  # not an integer, or below 1
                 raise StructureError(f"bad builtin {name!r}") from None
-            return semigraph.cycle_with_legs(n)
         raise StructureError(f"unknown builtin {name!r}")
     if args.graph is None:
         raise StructureError("a graph file or --builtin is required")
@@ -88,7 +71,12 @@ def _parse_constraint(raw: str | None, p: int):
     raw = raw.strip()
     if not raw:
         return ()
-    return tuple(int(part) % p for part in raw.split(","))
+    try:
+        return tuple(int(part) % p for part in raw.split(","))
+    except ValueError:
+        raise StructureError(
+            f"--constraint must be comma-separated integers, got {raw!r}"
+        ) from None
 
 
 def _emit(obj):
@@ -105,6 +93,8 @@ def cmd_validate(args) -> int:
 def cmd_enumerate(args) -> int:
     m = _load_graph(args)
     p = check_prime(args.p)
+    if args.limit is not None and args.limit < 0:
+        raise StructureError(f"--limit must be nonnegative, got {args.limit}")
     query = EnumerationQuery(
         p, args.kind, constraint=_parse_constraint(args.constraint, p), limit=args.limit
     )
@@ -116,19 +106,11 @@ def cmd_enumerate(args) -> int:
 def cmd_count(args) -> int:
     m = _load_graph(args)
     p = check_prime(args.p)
-    query = EnumerationQuery(p, args.kind, mode="count")
+    query = EnumerationQuery(p, args.kind)
     by_exponent = args.by_exponent
     if args.method == "both":
-        jobs = (
-            lambda: count(m, query, by_exponent=by_exponent),
-            lambda: count_by_contraction(m, query, by_exponent=by_exponent),
-        )
-        if worker_cap() >= 2:
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(job) for job in jobs]
-                back, cont = (f.result() for f in futures)
-        else:
-            back, cont = jobs[0](), jobs[1]()
+        back = count(m, query, by_exponent=by_exponent)
+        cont = count_by_contraction(m, query, by_exponent=by_exponent)
         agree = back.total == cont.total and back.by_exponent == cont.by_exponent
         _emit(
             {
@@ -243,11 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (StructureError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return MALFORMED
-    except OSError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as in ``| head``): stop quietly, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return PASS
+    except (StructureError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
     except (InvalidGraphError, ValueError, RuntimeError) as exc:

@@ -41,7 +41,6 @@ from .numbering import (
 from .semigraph import MarkedSemiGraph, require_valid
 
 KINDS = ("strict", "balanced")
-MODES = ("enumerate", "count")
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,11 @@ class EnumerationQuery:
     kind: str
     constraint: ExponentVector | None = None
     limit: int | None = None
-    mode: str = "enumerate"
 
     def __post_init__(self):
         check_prime(self.p)
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.constraint is not None:
             object.__setattr__(
                 self, "constraint", tuple(int(c) % self.p for c in self.constraint)
@@ -304,12 +300,32 @@ def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
 # ---------------------------------------------------------------------------
 # contraction
 
-def _join_and_sum(factors, domains, keep, max_table_width):
-    """Sum out every variable not in ``keep``; returns the remaining factors.
+def _join(factors, domains, drop=None):
+    """Multiply ``factors`` into one factor, summing out ``drop`` if given.
 
     A factor is (scope tuple, {assignment tuple: weight}); tables are
-    sparse, missing rows are zero.
+    sparse, missing rows are zero.  The result's scope is the sorted
+    union of the input scopes without ``drop``.
     """
+    union = sorted(set().union(*(scope for scope, _ in factors)))
+    new_scope = tuple(u for u in union if u != drop)
+    positions = {u: i for i, u in enumerate(union)}
+    keep_pos = [positions[u] for u in new_scope]
+    table: dict[tuple, int] = {}
+    for combo in itertools.product(*(domains[u] for u in union)):
+        weight = 1
+        for scope, rows in factors:
+            weight *= rows.get(tuple(combo[positions[u]] for u in scope), 0)
+            if weight == 0:
+                break
+        if weight:
+            key = tuple(combo[i] for i in keep_pos)
+            table[key] = table.get(key, 0) + weight
+    return new_scope, table
+
+
+def _join_and_sum(factors, domains, keep, max_table_width):
+    """Sum out every variable not in ``keep``; returns the remaining factors."""
     factors = list(factors)
     alive = set()
     for scope, _ in factors:
@@ -329,30 +345,35 @@ def _join_and_sum(factors, domains, keep, max_table_width):
         alive.remove(var)
         touching = [f for f in factors if var in f[0]]
         rest = [f for f in factors if var not in f[0]]
-        union: list[int] = sorted(set().union(*(scope for scope, _ in touching)))
-        if len(union) > max_table_width:
+        width = len(set().union(*(scope for scope, _ in touching)))
+        if width > max_table_width:
             warnings.warn(
-                f"contraction table spans {len(union)} variables "
+                f"contraction table spans {width} variables "
                 f"(bound {max_table_width})",
                 stacklevel=3,
             )
-        new_scope = tuple(u for u in union if u != var)
-        positions = {u: i for i, u in enumerate(union)}
-        keep_pos = [positions[u] for u in new_scope]
-        table: dict[tuple, int] = {}
-        for combo in itertools.product(*(domains[u] for u in union)):
-            weight = 1
-            for scope, rows in touching:
-                weight *= rows.get(tuple(combo[positions[u]] for u in scope), 0)
-                if weight == 0:
-                    break
-            if weight:
-                key = tuple(combo[i] for i in keep_pos)
-                table[key] = table.get(key, 0) + weight
-        if not table:
+        joined = _join(touching, domains, drop=var)
+        if not joined[1]:
             return None
-        factors = rest + [(new_scope, table)]
+        factors = rest + [joined]
     return factors
+
+
+def _vertex_factor(problem: _Problem, domains, v):
+    """The 0/1 table of vertex ``v`` over its distinct incident edges."""
+    incident = problem.vertex_branches[v]
+    scope = tuple(sorted({ei for ei, _ in incident}))
+    positions = {ei: i for i, ei in enumerate(scope)}
+    rows = {}
+    for combo in itertools.product(*(domains[ei] for ei in scope)):
+        ms = [problem.branch_value(combo[positions[ei]], slot) for ei, slot in incident]
+        if problem.strict:
+            ok = sum(ms) == problem.p + 1
+        else:
+            ok = balanced_triple(problem.p, *ms)
+        if ok:
+            rows[combo] = 1
+    return scope, rows
 
 
 def count_by_contraction(
@@ -363,68 +384,34 @@ def count_by_contraction(
 ) -> CensusReport:
     """Exact count by variable elimination; independent of the backtracker."""
     problem = _Problem(m, query)
-    p = problem.p
-
-    def empty(cells=None):
-        return CensusReport(0, "contraction", cells if by_exponent else None)
-
+    empty = CensusReport(0, "contraction", {} if by_exponent else None)
     if not problem.feasible:
-        return empty({})
+        return empty
 
     domains = [
         [problem.seeds[i]] if i in problem.seeds else list(problem.domain)
         for i in range(len(problem.edges))
     ]
-
-    factors = []
-    for v in problem.vertices:
-        incident = problem.vertex_branches[v]
-        scope = tuple(sorted({ei for ei, _ in incident}))
-        positions = {ei: i for i, ei in enumerate(scope)}
-        rows = {}
-        for combo in itertools.product(*(domains[ei] for ei in scope)):
-            ms = [
-                problem.branch_value(combo[positions[ei]], slot)
-                for ei, slot in incident
-            ]
-            if problem.strict:
-                ok = sum(ms) == p + 1
-            else:
-                ok = balanced_triple(p, *ms)
-            if ok:
-                rows[combo] = 1
-        if not rows:
-            return empty({})
-        factors.append((scope, rows))
+    factors = [_vertex_factor(problem, domains, v) for v in problem.vertices]
+    if not all(rows for _, rows in factors):
+        return empty
 
     keep = {ei for ei, _ in problem.legs} if by_exponent else set()
     remaining = _join_and_sum(factors, domains, keep, max_table_width)
     if remaining is None:
-        return empty({})
+        return empty
 
-    if not by_exponent or not problem.legs:
-        total = 1
-        for _scope, rows in remaining:
-            total *= sum(rows.values())
-        cells = {(): total} if by_exponent else None
-        return CensusReport(total, "contraction", cells)
-
-    # Join what is left over the retained leg variables and read off cells.
-    scope = tuple(sorted(set().union(*(s for s, _ in remaining))))
+    # Join what is left (over the retained leg variables, or nothing) and
+    # read the cells off its rows.
+    scope, table = _join(remaining, domains)
+    total = sum(table.values())
+    if not by_exponent:
+        return CensusReport(total, "contraction")
     positions = {u: i for i, u in enumerate(scope)}
     cells: dict[ExponentVector, int] = {}
-    total = 0
-    for combo in itertools.product(*(domains[u] for u in scope)):
-        weight = 1
-        for sub_scope, rows in remaining:
-            weight *= rows.get(tuple(combo[positions[u]] for u in sub_scope), 0)
-            if weight == 0:
-                break
-        if weight:
-            key = tuple(
-                problem.branch_value(combo[positions[ei]], s_open)
-                for ei, s_open in problem.legs
-            )
-            cells[key] = cells.get(key, 0) + weight
-            total += weight
+    for row, weight in table.items():
+        key = tuple(
+            problem.branch_value(row[positions[ei]], s_open) for ei, s_open in problem.legs
+        )
+        cells[key] = cells.get(key, 0) + weight
     return CensusReport(total, "contraction", cells)

@@ -85,9 +85,6 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
     g = inputs["type"]["g"]
     r = inputs["type"]["r"]
     query = EnumerationQuery(p, "strict")
-    n_back = count(m, query).total
-    n_cont = count_by_contraction(m, query).total
-
     if g == 0:
         return TheoremReport(
             "p048",
@@ -99,6 +96,8 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
         )
 
     if g >= 2:
+        n_back = count(m, query).total
+        n_cont = count_by_contraction(m, query).total
         passed = n_back == 0 and n_cont == 0
         witness = ()
         if not passed:
@@ -117,13 +116,16 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
         )
 
     target = (p - 1,) * r
+    n_back = 0
     bad_exponent = []
     for numbering in enumerate_numberings(m, query):
+        n_back += 1
         e = exponent_of(m, numbering)
         if e != target:
             bad_exponent.append(
                 {"exponent": list(e), "numbering": numbering_to_json_obj(m, numbering)}
             )
+    n_cont = count_by_contraction(m, query).total
     constrained = EnumerationQuery(p, "strict", constraint=target)
     c_back = count(m, constrained).total
     c_cont = count_by_contraction(m, constrained).total

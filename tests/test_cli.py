@@ -46,6 +46,11 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "validate")[0] == 2
     path.write_text(tv.dumps_graph(tv.tripod()))
     assert run(capsys, "validate", str(path), "--builtin", "tripod")[0] == 2
+    assert run(capsys, "enumerate", "--p", "5", "--kind", "strict", "--limit", "-1",
+               "--builtin", "tripod")[0] == 2
+    assert run(capsys, "enumerate", "--p", "5", "--kind", "strict", "--constraint", "a,b",
+               "--builtin", "tripod")[0] == 2
+    assert run(capsys, "count", "--p", "5", "--kind", "strict", "--builtin", "cycle:0")[0] == 2
 
 
 def test_enumerate_stream(capsys):
@@ -188,18 +193,6 @@ def test_verify_report_is_json(capsys):
     assert doc["inputs"]["p"] == 11
 
 
-def test_miura_threads_cap(monkeypatch, capsys):
-    monkeypatch.setenv("MIURA_THREADS", "1")
-    assert run(capsys, "count", "--p", "5", "--kind", "strict", "--method", "both",
-               "--builtin", "theta")[0] == 0
-    monkeypatch.setenv("MIURA_THREADS", "0")
-    assert run(capsys, "count", "--p", "5", "--kind", "strict", "--method", "both",
-               "--builtin", "theta")[0] == 2
-    monkeypatch.setenv("MIURA_THREADS", "soon")
-    assert run(capsys, "count", "--p", "5", "--kind", "strict", "--method", "both",
-               "--builtin", "theta")[0] == 2
-
-
 def test_graph_file_roundtrips_through_cli(tmp_path, capsys):
     path = tmp_path / "graph.json"
     original = tv.dumps_graph(tv.dumbbell())
@@ -217,3 +210,17 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["total"] == 6
+
+
+def test_closed_stdout_pipe_stops_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trivalent", "enumerate", "--builtin", "tripod",
+         "--p", "101", "--kind", "strict"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+    assert json.loads(first)["p"] == 101
