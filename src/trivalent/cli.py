@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 semantic failure (failed check, failed
 verification, count disagreement, unusable value), 2 malformed input
 (unparseable file or arguments), 3 statement not applicable to the
-given input.
+given input, 4 internal error (an unexpected exception; its traceback
+goes to stderr).
 
 Graphs come from a file argument or from ``--builtin``; builtin names
 are tripod, theta, dumbbell, loop_with_leg and cycle:N.
@@ -15,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import semigraph
 from .numbering import (
@@ -27,7 +29,7 @@ from .numbering import (
 )
 from .miura import check_pp004, miura_transform
 from .search import EnumerationQuery, count, count_by_contraction, enumerate_numberings
-from .semigraph import InvalidGraphError, StructureError, validate
+from .semigraph import StructureError, validate
 from .verify import (
     TheoremReport,
     verify_figure_vector,
@@ -36,7 +38,7 @@ from .verify import (
     verify_p048_structure,
 )
 
-PASS, FAIL, MALFORMED, NOT_APPLICABLE = 0, 1, 2, 3
+PASS, FAIL, MALFORMED, NOT_APPLICABLE, INTERNAL = 0, 1, 2, 3, 4
 
 BUILTINS = {
     "tripod": semigraph.tripod,
@@ -237,9 +239,12 @@ def main(argv=None) -> int:
     except (StructureError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
-    except (InvalidGraphError, ValueError, RuntimeError) as exc:
+    except ValueError as exc:  # InvalidGraphError included
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
+    except Exception:
+        traceback.print_exc()
+        return INTERNAL
 
 
 def entry():

@@ -22,7 +22,6 @@ componentwise image satisfies the balanced triple condition.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .numbering import (
@@ -63,15 +62,17 @@ def miura_transform(m: MarkedSemiGraph, a: BranchNumbering) -> EdgeNumbering:
 
 
 def tripod_strict_set(p: int) -> list[tuple[tuple[int, int, int], bool]]:
-    """All triples in {0..p-1}^3 with sum 1 mod p, flagged strict or not."""
+    """All triples in {0..p-1}^3 with sum 1 mod p, flagged strict or not.
+
+    Triples come in lexicographic order; (a, b) fixes c = 1 - a - b mod p.
+    """
     check_prime(p)
-    out = []
-    for triple in itertools.product(range(p), repeat=3):
-        if sum(triple) % p != 1:
-            continue
-        strict = all(triple) and sum(triple) == p + 1
-        out.append((triple, strict))
-    return out
+    return [
+        ((a, b, c), 0 not in (a, b, c) and a + b + c == p + 1)
+        for a in range(p)
+        for b in range(p)
+        for c in ((1 - a - b) % p,)
+    ]
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,13 @@ Two engines answer the same queries by different routes:
   in the declared edge order.
 
 * ``count_by_contraction`` never materializes solutions.  Each vertex
-  becomes a 0/1 table over its incident edge variables and variables
-  are summed out one at a time in greedy minimum-degree order; what is
-  left after all eliminations is the count.  For a by-exponent census
-  the leg variables are retained and the final joined table is read off
-  cell by cell.
+  becomes a 0/1 table over its incident edge variables that stores only
+  its nonzero rows, and variables are summed out one at a time in
+  greedy minimum-degree order; a join matches stored rows on shared
+  variables and never walks a full domain.  What is left after all
+  eliminations is the count.  For a by-exponent census the leg
+  variables are retained and the final joined table is read off cell
+  by cell.
 
 Constraints (an exponent vector for strict queries, a radii vector for
 balanced ones) pin the leg variables before either engine starts.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -300,31 +302,42 @@ def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
 # ---------------------------------------------------------------------------
 # contraction
 
-def _join(factors, domains, drop=None):
+def _join(factors, drop=None):
     """Multiply ``factors`` into one factor, summing out ``drop`` if given.
 
-    A factor is (scope tuple, {assignment tuple: weight}); tables are
-    sparse, missing rows are zero.  The result's scope is the sorted
-    union of the input scopes without ``drop``.
+    A factor is (scope tuple, {assignment tuple: weight}) and stores only
+    its nonzero rows.  Factors are joined one at a time: each factor's
+    rows are indexed on the variables it shares with the rows built so
+    far, and every built row is extended by the rows that match it.  The
+    result's scope is the union of the input scopes in order of first
+    appearance, without ``drop``.
     """
-    union = sorted(set().union(*(scope for scope, _ in factors)))
-    new_scope = tuple(u for u in union if u != drop)
-    positions = {u: i for i, u in enumerate(union)}
-    keep_pos = [positions[u] for u in new_scope]
-    table: dict[tuple, int] = {}
-    for combo in itertools.product(*(domains[u] for u in union)):
-        weight = 1
-        for scope, rows in factors:
-            weight *= rows.get(tuple(combo[positions[u]] for u in scope), 0)
-            if weight == 0:
-                break
-        if weight:
-            key = tuple(combo[i] for i in keep_pos)
-            table[key] = table.get(key, 0) + weight
-    return new_scope, table
+    scope, table = (), {(): 1}
+    for f_scope, f_rows in factors:
+        at = {u: i for i, u in enumerate(scope)}
+        shared = [i for i, u in enumerate(f_scope) if u in at]
+        fresh = [i for i, u in enumerate(f_scope) if u not in at]
+        index = defaultdict(list)
+        for row, weight in f_rows.items():
+            index[tuple(row[i] for i in shared)].append((tuple(row[i] for i in fresh), weight))
+        probe = [at[f_scope[i]] for i in shared]
+        scope += tuple(f_scope[i] for i in fresh)
+        table = {
+            row + ext: weight * f_weight
+            for row, weight in table.items()
+            for ext, f_weight in index.get(tuple(row[i] for i in probe), ())
+        }
+    if drop is not None:
+        d = scope.index(drop)
+        scope = scope[:d] + scope[d + 1:]
+        summed: Counter = Counter()
+        for row, weight in table.items():
+            summed[row[:d] + row[d + 1:]] += weight
+        table = summed
+    return scope, table
 
 
-def _join_and_sum(factors, domains, keep, max_table_width):
+def _join_and_sum(factors, keep, max_table_width):
     """Sum out every variable not in ``keep``; returns the remaining factors."""
     factors = list(factors)
     alive = set()
@@ -352,20 +365,20 @@ def _join_and_sum(factors, domains, keep, max_table_width):
                 f"(bound {max_table_width})",
                 stacklevel=3,
             )
-        joined = _join(touching, domains, drop=var)
-        if not joined[1]:
-            return None
-        factors = rest + [joined]
+        factors = rest + [_join(touching, drop=var)]
     return factors
 
 
-def _vertex_factor(problem: _Problem, domains, v):
+def _vertex_factor(problem: _Problem, v):
     """The 0/1 table of vertex ``v`` over its distinct incident edges."""
     incident = problem.vertex_branches[v]
     scope = tuple(sorted({ei for ei, _ in incident}))
     positions = {ei: i for i, ei in enumerate(scope)}
+    domains = [
+        (problem.seeds[ei],) if ei in problem.seeds else problem.domain for ei in scope
+    ]
     rows = {}
-    for combo in itertools.product(*(domains[ei] for ei in scope)):
+    for combo in itertools.product(*domains):
         ms = [problem.branch_value(combo[positions[ei]], slot) for ei, slot in incident]
         if problem.strict:
             ok = sum(ms) == problem.p + 1
@@ -384,34 +397,18 @@ def count_by_contraction(
 ) -> CensusReport:
     """Exact count by variable elimination; independent of the backtracker."""
     problem = _Problem(m, query)
-    empty = CensusReport(0, "contraction", {} if by_exponent else None)
     if not problem.feasible:
-        return empty
+        return CensusReport(0, "contraction", {} if by_exponent else None)
 
-    domains = [
-        [problem.seeds[i]] if i in problem.seeds else list(problem.domain)
-        for i in range(len(problem.edges))
-    ]
-    factors = [_vertex_factor(problem, domains, v) for v in problem.vertices]
-    if not all(rows for _, rows in factors):
-        return empty
-
+    factors = [_vertex_factor(problem, v) for v in problem.vertices]
     keep = {ei for ei, _ in problem.legs} if by_exponent else set()
-    remaining = _join_and_sum(factors, domains, keep, max_table_width)
-    if remaining is None:
-        return empty
-
     # Join what is left (over the retained leg variables, or nothing) and
     # read the cells off its rows.
-    scope, table = _join(remaining, domains)
+    scope, table = _join(_join_and_sum(factors, keep, max_table_width))
     total = sum(table.values())
     if not by_exponent:
         return CensusReport(total, "contraction")
-    positions = {u: i for i, u in enumerate(scope)}
-    cells: dict[ExponentVector, int] = {}
+    cells: Counter = Counter()
     for row, weight in table.items():
-        key = tuple(
-            problem.branch_value(row[positions[ei]], s_open) for ei, s_open in problem.legs
-        )
-        cells[key] = cells.get(key, 0) + weight
-    return CensusReport(total, "contraction", cells)
+        cells[problem.exponent(dict(zip(scope, row)))] += weight
+    return CensusReport(total, "contraction", dict(cells))

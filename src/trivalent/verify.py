@@ -234,24 +234,20 @@ def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     checked = 0
     for numbering in enumerate_numberings(m, EnumerationQuery(p, "strict")):
         checked += 1
-        doc = numbering_to_json_obj(m, numbering)
         try:
             image = miura_transform(m, numbering)
         except (ValueError, RuntimeError) as exc:
-            failures.append({"numbering": doc, "error": str(exc)})
-            continue
-        if not is_balanced(m, image):
-            failures.append({"numbering": doc, "error": "image is not balanced"})
-            continue
-        expected = tuple(mu_value(p, e) for e in exponent_of(m, numbering))
-        got = radii_of(m, image)
-        if got != expected:
-            failures.append(
-                {
-                    "numbering": doc,
-                    "error": f"radii {list(got)} != transformed exponent {list(expected)}",
-                }
-            )
+            error = str(exc)
+        else:
+            if is_balanced(m, image):
+                expected = tuple(mu_value(p, e) for e in exponent_of(m, numbering))
+                got = radii_of(m, image)
+                if got == expected:
+                    continue
+                error = f"radii {list(got)} != transformed exponent {list(expected)}"
+            else:
+                error = "image is not balanced"
+        failures.append({"numbering": numbering_to_json_obj(m, numbering), "error": error})
     return TheoremReport(
         "miura",
         inputs,

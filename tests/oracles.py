@@ -65,6 +65,16 @@ def naive_tripod_census(p):
     return triples
 
 
+def naive_tripod_strict_set(p):
+    """Every triple in {0..p-1}^3 with sum 1 mod p, in lexicographic order,
+    flagged when its entries are nonzero and sum to exactly p + 1."""
+    out = []
+    for triple in itertools.product(range(p), repeat=3):
+        if sum(triple) % p == 1:
+            out.append((triple, 0 not in triple and sum(triple) == p + 1))
+    return out
+
+
 def open_values_strict(m, branch_values):
     """Exponent vector read straight off the marking."""
     out = []

@@ -175,6 +175,19 @@ def test_miura_rejects_balanced_file(tmp_path, capsys):
     assert run(capsys, "miura", str(path), "--builtin", "tripod")[0] == 1
 
 
+@pytest.mark.parametrize("error", (RecursionError, KeyError))
+def test_internal_error_exits_4(monkeypatch, capsys, error):
+    def crash(*args, **kwargs):
+        raise error("engine crashed")
+
+    monkeypatch.setattr("trivalent.cli.count", crash)
+    code, out, err = run(capsys, "count", "--p", "5", "--kind", "strict", "--builtin", "tripod")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert f"{error.__name__}: " in err and "engine crashed" in err
+
+
 def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "pp004", "--p", "13")[0] == 0
     assert run(capsys, "verify", "p048", "--p", "7", "--builtin", "theta")[0] == 0

@@ -3,7 +3,7 @@ import pytest
 import trivalent as tv
 from trivalent.numbering import BranchNumbering
 
-from oracles import naive_tripod_census, star
+from oracles import naive_tripod_census, naive_tripod_strict_set, star
 
 PRIMES = (3, 5, 7, 11, 13)
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -89,6 +89,11 @@ def test_tripod_strict_set_membership_and_census(p):
     strict = sorted(t for t, flag in entries if flag)
     assert strict == sorted(naive_tripod_census(p))
     assert len(strict) == p * (p - 1) // 2
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+def test_tripod_strict_set_matches_full_scan(p):
+    assert tv.tripod_strict_set(p) == naive_tripod_strict_set(p)
 
 
 @pytest.mark.parametrize("p", PRIMES)

@@ -178,9 +178,14 @@ def test_count_ignores_limit():
     assert count(m, EnumerationQuery(5, "strict", limit=1)).total == 10
 
 
+@pytest.mark.parametrize(
+    "builder",
+    (lambda: tv.cycle_with_legs(2), lambda: tv.cycle_with_legs(4), tv.figure_tree),
+    ids=("cycle2", "cycle4", "figure_tree"),
+)
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
-def test_by_exponent_partitions_total(kind):
-    m = tv.cycle_with_legs(2)
+def test_by_exponent_partitions_total(kind, builder):
+    m = builder()
     q = EnumerationQuery(7, kind)
     back = count(m, q, by_exponent=True)
     cont = count_by_contraction(m, q, by_exponent=True)
@@ -249,3 +254,4 @@ def test_exhaustive_exponent_scan_matches_oracle():
     for combo in itertools.product(range(p), repeat=2):
         q = EnumerationQuery(p, "strict", constraint=combo)
         assert count(m, q).total == expected.get(combo, 0)
+        assert count_by_contraction(m, q).total == expected.get(combo, 0)
