@@ -175,22 +175,28 @@ def cmd_verify(args) -> int:
     return _report_exit(verify_miura(m, p))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="trivalent",
         description="numberings of 3-regular semi-graphs and their Miura transform",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, argparse.ArgumentParser] = {}
+
+    def add_command(name, summary):
+        commands[name] = sub.add_parser(name, help=summary)
+        return commands[name]
 
     def add_graph_args(p):
         p.add_argument("graph", nargs="?", help="graph JSON file")
         p.add_argument("--builtin", help="tripod, theta, dumbbell, loop_with_leg, cycle:N")
 
-    p_validate = sub.add_parser("validate", help="run the semantic checks")
+    p_validate = add_command("validate", "run the semantic checks")
     add_graph_args(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
-    p_enum = sub.add_parser("enumerate", help="stream numberings as JSON lines")
+    p_enum = add_command("enumerate", "stream numberings as JSON lines")
     p_enum.add_argument("--p", type=int, required=True)
     p_enum.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_enum.add_argument("--constraint", help="comma-separated exponents or radii")
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_count = sub.add_parser("count", help="count numberings")
+    p_count = add_command("count", "count numberings")
     p_count.add_argument("--p", type=int, required=True)
     p_count.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_count.add_argument("--by-exponent", action="store_true")
@@ -208,12 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(p_count)
     p_count.set_defaults(func=cmd_count)
 
-    p_miura = sub.add_parser("miura", help="transform a strict numbering")
+    p_miura = add_command("miura", "transform a strict numbering")
     p_miura.add_argument("numbering", help="strict numbering JSON file")
     add_graph_args(p_miura)
     p_miura.set_defaults(func=cmd_miura)
 
-    p_verify = sub.add_parser("verify", help="check one of the built-in statements")
+    p_verify = add_command("verify", "check one of the built-in statements")
     p_verify.add_argument(
         "theorem", choices=("pp004", "p048", "p048_structure", "miura", "figure")
     )
@@ -221,11 +227,21 @@ def build_parser() -> argparse.ArgumentParser:
     add_graph_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        # The top-level parser hands a subcommand its positionals in one
+        # chunk, so a graph file after an option (``verify p048 --p 5
+        # tree.json``) is left over.  The subcommand's own parser takes
+        # options and positionals intermixed, and rejects true extras.
+        args = commands[args.command].parse_intermixed_args(
+            argv[1:], argparse.Namespace(command=args.command)
+        )
     try:
         code = args.func(args)
         sys.stdout.flush()

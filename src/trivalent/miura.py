@@ -36,7 +36,8 @@ from .semigraph import MarkedSemiGraph
 
 
 def mu_value(p: int, m: int) -> int:
-    _check_residue(p, m)
+    if m.__class__ is not int or not 0 <= m < p:
+        _check_residue(p, m)
     return (p - m - 1) // 2 if m % 2 == 0 else (m - 1) // 2
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .semigraph import Branch, MarkedSemiGraph, StructureError
@@ -31,6 +32,7 @@ from .semigraph import Branch, MarkedSemiGraph, StructureError
 ExponentVector = tuple[int, ...]
 
 
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -78,10 +80,13 @@ class BranchNumbering:
     values: Mapping[Branch, int]
 
     def __post_init__(self):
-        check_prime(self.p)
+        p = check_prime(self.p)
         vals = dict(self.values)
         object.__setattr__(self, "values", vals)
-        slots: dict[str, dict[int, int]] = {}
+        # Key and residue errors are raised as they are met; the first
+        # involution failure (edges in order of first appearance) is only
+        # raised once every key and value has passed.
+        broken = None
         for key, m in vals.items():
             if (
                 not isinstance(key, tuple)
@@ -90,16 +95,20 @@ class BranchNumbering:
                 or key[1] not in (0, 1)
             ):
                 raise ValueError(f"bad branch key {key!r}")
-            _check_residue(self.p, m)
-            slots.setdefault(key[0], {})[key[1]] = m
-        for edge_id, pair in slots.items():
-            if set(pair) != {0, 1}:
-                raise ValueError(f"edge {edge_id!r} is missing a branch slot")
-            if pair[1] != inv(self.p, pair[0]):
-                raise ValueError(
-                    f"edge {edge_id!r} breaks the involution: "
-                    f"{pair[0]} paired with {pair[1]}"
-                )
+            if m.__class__ is not int or not 0 <= m < p:
+                _check_residue(p, m)
+            if broken is None:
+                edge_id, slot = key
+                # None is never a residue: either the slot is missing or its
+                # value fails the residue test later in this loop.
+                partner = vals.get((edge_id, 1 - slot))
+                if partner is None:
+                    broken = f"edge {edge_id!r} is missing a branch slot"
+                elif partner != (p - m if m else 0):
+                    x0, x1 = (partner, m) if slot else (m, partner)
+                    broken = f"edge {edge_id!r} breaks the involution: {x0} paired with {x1}"
+        if broken is not None:
+            raise ValueError(broken)
 
 
 @dataclass(frozen=True)
@@ -110,20 +119,25 @@ class EdgeNumbering:
     values: Mapping[str, int]
 
     def __post_init__(self):
-        check_prime(self.p)
+        p = check_prime(self.p)
         vals = dict(self.values)
         object.__setattr__(self, "values", vals)
         for edge_id, m in vals.items():
             if not isinstance(edge_id, str):
                 raise ValueError(f"bad edge key {edge_id!r}")
-            _check_residue(self.p, m)
+            if m.__class__ is not int or not 0 <= m < p:
+                _check_residue(p, m)
+
+
+def _no_branch(b: Branch) -> ValueError:
+    return ValueError(f"numbering has no value for branch {b!r}")
 
 
 def _branch_value(a: BranchNumbering, b: Branch):
     try:
         return a.values[b]
     except KeyError:
-        raise ValueError(f"numbering has no value for branch {b!r}") from None
+        raise _no_branch(b) from None
 
 
 def is_branch_numbering(m: MarkedSemiGraph, p: int, assignment: Mapping[Branch, int]) -> bool:
@@ -148,11 +162,17 @@ def is_branch_numbering(m: MarkedSemiGraph, p: int, assignment: Mapping[Branch, 
 def is_strict(m: MarkedSemiGraph, a: BranchNumbering) -> bool:
     """All branch values nonzero and every vertex sum equal to p + 1."""
     g = m.graph
-    for e in g.edges:
-        if _branch_value(a, (e.id, 0)) == 0 or _branch_value(a, (e.id, 1)) == 0:
-            return False
-    for v in g.vertices:
-        if sum(_branch_value(a, b) for b in g.branches_at[v]) != a.p + 1:
+    vals = a.values
+    try:
+        for _label, b in g.branch_labels:
+            if vals[b] == 0:
+                return False
+    except KeyError as missing:
+        raise _no_branch(missing.args[0]) from None
+    # Every branch of the graph is present from here on.
+    total = a.p + 1
+    for branches in g.branches_at.values():
+        if sum([vals[b] for b in branches]) != total:
             return False
     return True
 
@@ -203,10 +223,11 @@ def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering
                 raise ValueError(f"numbering has no value for edge {e.id!r}")
             values[e.id] = a.values[e.id]
         return {"p": a.p, "kind": "balanced", "edge_values": values}
-    values = {}
-    for e in m.graph.edges:
-        for slot in (0, 1):
-            values[f"{e.id}.{slot}"] = _branch_value(a, (e.id, slot))
+    vals = a.values
+    try:
+        values = {label: vals[b] for label, b in m.graph.branch_labels}
+    except KeyError as missing:
+        raise _no_branch(missing.args[0]) from None
     return {"p": a.p, "kind": "strict", "branch_values": values}
 
 

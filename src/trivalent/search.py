@@ -10,7 +10,9 @@ Two engines answer the same queries by different routes:
   branched in declaration order with values ascending, and whenever a
   vertex determines its last free edge that value is propagated before
   further branching, so the stream is deterministic and lexicographic
-  in the declared edge order.
+  in the declared edge order.  Open branch points live on an explicit
+  stack of (edge, next domain position, trail mark) frames, so the
+  number of edges is not bounded by Python's recursion limit.
 
 * ``count_by_contraction`` never materializes solutions.  Each vertex
   becomes a 0/1 table over its incident edge variables that stores only
@@ -97,10 +99,28 @@ class _Problem:
             v: tuple((self.index[eid], slot) for eid, slot in g.branches_at[v])
             for v in g.vertices
         }
+        # The backtracker's compiled form: vertices by index, each with its
+        # terms and whether it carries a self-loop.  A strict term is an
+        # (edge index, slot) pair and leaves the self-loop out, since x and
+        # p - x always add up to p; a balanced term is an edge index, the
+        # self-loop listed twice.
+        at = {v: i for i, v in enumerate(self.vertices)}
         self.edge_vertices = [
-            tuple(dict.fromkeys(end for end in e.ends if end is not None))
+            tuple(dict.fromkeys(at[end] for end in e.ends if end is not None))
             for e in self.edges
         ]
+        self.vertex_loop = []
+        self.vertex_terms = []
+        for incident in self.vertex_branches.values():
+            loops = {ei for ei, _ in incident if self.edges[ei].is_loop}
+            self.vertex_loop.append(bool(loops))
+            if self.strict:
+                terms = tuple((ei, slot) for ei, slot in incident if ei not in loops)
+            else:
+                terms = tuple(ei for ei, _ in incident)
+            self.vertex_terms.append(terms)
+        self.edge_ids = [e.id for e in self.edges]
+        self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
         if self.strict:
             self.domain = range(1, self.p)
         else:
@@ -142,70 +162,64 @@ class _Problem:
 
     # -- vertex reasoning ---------------------------------------------------
 
-    def vertex_status(self, v: str, values) -> tuple[bool, list[tuple[int, int]]]:
-        """(still feasible, forced assignments) for a partially assigned vertex."""
+    def vertex_status(self, v: int, values) -> tuple[bool, tuple[tuple[int, int], ...]]:
+        """(still feasible, forced assignments) for a partially assigned vertex.
+
+        ``v`` is a vertex index and ``values`` holds an edge value or None
+        per edge index.
+        """
+        p = self.p
+        terms = self.vertex_terms[v]
         if self.strict:
-            return self._strict_status(v, values)
-        return self._balanced_status(v, values)
-
-    def _strict_status(self, v, values):
-        p = self.p
-        total = 0
-        free: dict[int, list[int]] = {}
-        for ei, slot in self.vertex_branches[v]:
+            # A self-loop contributes x + (p - x) = p whatever x is.
+            need = 1 if self.vertex_loop[v] else p + 1
+            k = 0
+            for ei, slot in terms:
+                x = values[ei]
+                if x is None:
+                    k += 1
+                    free, free_slot = ei, slot
+                else:
+                    need -= p - x if slot else x
+            if not k:
+                return (need == 0, ())
+            if not k <= need <= k * (p - 1):
+                return (False, ())
+            if k == 1:
+                return (True, ((free, p - need if free_slot else need),))
+            return (True, ())
+        # Balanced: with the known values' sum s and maximum mx, the
+        # triangle condition on a full triple is 2 * mx <= s, and the one
+        # free value of a vertex with two known values a, b lies between
+        # |a - b| = 2 * mx - s and min(a + b, p - 2 - a - b).
+        s = mx = missing = 0
+        for ei in terms:
             x = values[ei]
             if x is None:
-                free.setdefault(ei, []).append(slot)
+                missing += 1
+                free = ei
             else:
-                total += self.branch_value(x, slot)
-        # An unassigned self-loop contributes x + (p - x) = p whatever x is.
-        loops = sum(1 for slots in free.values() if len(slots) == 2)
-        singles = [(ei, slots[0]) for ei, slots in free.items() if len(slots) == 1]
-        need = p + 1 - total - p * loops
-        if not singles:
-            return (need == 0, [])
-        k = len(singles)
-        if not k <= need <= k * (p - 1):
-            return (False, [])
-        if k == 1:
-            ei, slot = singles[0]
-            return (True, [(ei, need if slot == 0 else p - need)])
-        return (True, [])
-
-    def _balanced_status(self, v, values):
-        p = self.p
-        known = []
-        free: dict[int, int] = {}
-        for ei, _slot in self.vertex_branches[v]:
-            x = values[ei]
-            if x is None:
-                free[ei] = free.get(ei, 0) + 1
-            else:
-                known.append(x)
-        missing = sum(free.values())
-        if missing == 0:
-            return (balanced_triple(p, *known), [])
+                s += x
+                if x > mx:
+                    mx = x
+        if not missing:
+            return (2 * mx <= s <= p - 2, ())
         if missing == 1:
-            a, b = known
-            (ei,) = free
-            lo = abs(a - b)
-            hi = min(a + b, p - 2 - a - b)
-        elif missing == 2 and len(free) == 1:
-            # The free edge is a self-loop here: its value x enters twice.
-            (a,) = known
-            (ei,) = free
-            lo = (a + 1) // 2
-            hi = (p - 2 - a) // 2
+            lo = 2 * mx - s
+            hi = min(s, p - 2 - s)
+        elif missing == 2 and self.vertex_loop[v]:
+            # The free edge is the self-loop: its value x enters twice.
+            lo = (s + 1) // 2
+            hi = (p - 2 - s) // 2
         elif missing == 2:
-            (a,) = known
-            return (2 * a <= p - 2, [])
+            return (2 * s <= p - 2, ())
         else:
-            return (True, [])
+            return (True, ())
         if lo > hi:
-            return (False, [])
+            return (False, ())
         if lo == hi:
-            return (True, [(ei, lo)])
-        return (True, [])
+            return (True, ((free, lo),))
+        return (True, ())
 
     # -- depth-first search -------------------------------------------------
 
@@ -216,6 +230,8 @@ class _Problem:
         n = len(self.edges)
         values: list[int | None] = [None] * n
         trail: list[int] = []
+        edge_vertices = self.edge_vertices
+        status = self.vertex_status
 
         def undo(mark: int):
             while len(trail) > mark:
@@ -234,8 +250,8 @@ class _Problem:
                     continue
                 values[e0] = x0
                 trail.append(e0)
-                for v in self.edge_vertices[e0]:
-                    ok, forced = self.vertex_status(v, values)
+                for v in edge_vertices[e0]:
+                    ok, forced = status(v, values)
                     if not ok:
                         undo(mark)
                         return -1
@@ -246,27 +262,50 @@ class _Problem:
             if try_assign(ei, x) < 0:
                 return
 
-        def search() -> Iterator[tuple[int, ...]]:
-            ei = next((i for i in range(n) if values[i] is None), None)
-            if ei is None:
-                yield tuple(values)
-                return
-            for x in self.domain:
-                mark = try_assign(ei, x)
-                if mark >= 0:
-                    yield from search()
-                    undo(mark)
+        def next_free(ei: int) -> int:
+            while ei < n and values[ei] is not None:
+                ei += 1
+            return ei
 
-        yield from search()
+        # Branch on the first free edge.  Every edge before it is assigned
+        # and stays so until its frame is popped, so the next free edge is
+        # searched from the one just branched on.  A frame is (edge, next
+        # domain position, trail mark of the value being explored).
+        domain = self.domain
+        size = len(domain)
+        ei = next_free(0)
+        if ei == n:
+            yield tuple(values)
+            return
+        pos = 0
+        stack: list[tuple[int, int, int]] = []
+        while True:
+            while pos < size:
+                mark = try_assign(ei, domain[pos])
+                pos += 1
+                if mark < 0:
+                    continue
+                nxt = next_free(ei + 1)
+                if nxt == n:
+                    yield tuple(values)
+                    undo(mark)
+                else:
+                    stack.append((ei, pos, mark))
+                    ei, pos = nxt, 0
+            if not stack:
+                return
+            ei, pos, mark = stack.pop()
+            undo(mark)
 
     def to_numbering(self, sol) -> BranchNumbering | EdgeNumbering:
         if self.strict:
+            p = self.p
             vals = {}
-            for e, x in zip(self.edges, sol):
-                vals[(e.id, 0)] = x
-                vals[(e.id, 1)] = self.p - x
-            return BranchNumbering(self.p, vals)
-        return EdgeNumbering(self.p, {e.id: x for e, x in zip(self.edges, sol)})
+            for (k0, k1), x in zip(self.branch_keys, sol):
+                vals[k0] = x
+                vals[k1] = p - x
+            return BranchNumbering(p, vals)
+        return EdgeNumbering(self.p, dict(zip(self.edge_ids, sol)))
 
 
 def enumerate_numberings(
@@ -276,15 +315,15 @@ def enumerate_numberings(
 
     Numberings come out lexicographically by edge values in declaration
     order (for strict queries, by the slot-0 values).  ``query.limit``
-    truncates the stream after that many results.
+    stops the search as soon as that many results are out.
     """
     problem = _Problem(m, query)
-    emitted = 0
-    for sol in problem.solutions():
-        if query.limit is not None and emitted >= query.limit:
-            return
+    if query.limit == 0:
+        return
+    for emitted, sol in enumerate(problem.solutions(), 1):
         yield problem.to_numbering(sol)
-        emitted += 1
+        if emitted == query.limit:
+            return
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:

@@ -115,6 +115,11 @@ class SemiGraph:
             yield (e.id, 0)
             yield (e.id, 1)
 
+    @cached_property
+    def branch_labels(self) -> tuple[tuple[str, Branch], ...]:
+        """("<edge id>.<slot>", branch) for every branch, in ``branches()`` order."""
+        return tuple((f"{b[0]}.{b[1]}", b) for b in self.branches())
+
     @staticmethod
     def partner(b: Branch) -> Branch:
         return (b[0], 1 - b[1])
@@ -306,9 +311,16 @@ def betti(m: MarkedSemiGraph) -> int:
 
 def _simple_cycle_at(g: SemiGraph, v0: str) -> list[Branch] | None:
     # Depth-first search over simple paths from v0 back to v0; branches
-    # are tried in declaration order so the result is deterministic.
-    def extend(cur: str, used: frozenset, visited: frozenset, path: list[Branch]):
-        for b in g.branches_at[cur]:
+    # are tried in declaration order so the result is deterministic.  The
+    # path grows and shrinks in place, with one frame per vertex on it, so
+    # long cycles need no recursion.
+    path: list[Branch] = []
+    used: set[str] = set()
+    visited = {v0}
+    frames = [(v0, iter(g.branches_at[v0]))]
+    while frames:
+        cur, branches = frames[-1]
+        for b in branches:
             if b[0] in used:
                 continue
             w = g.incidence(g.partner(b))
@@ -318,12 +330,17 @@ def _simple_cycle_at(g: SemiGraph, v0: str) -> list[Branch] | None:
                 return path + [b]
             if w in visited:
                 continue
-            found = extend(w, used | {b[0]}, visited | {w}, path + [b])
-            if found:
-                return found
-        return None
-
-    return extend(v0, frozenset(), frozenset({v0}), [])
+            path.append(b)
+            used.add(b[0])
+            visited.add(w)
+            frames.append((w, iter(g.branches_at[w])))
+            break
+        else:
+            frames.pop()
+            if path:
+                used.remove(path.pop()[0])
+                visited.remove(cur)
+    return None
 
 
 def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:

@@ -86,3 +86,32 @@ def open_values_strict(m, branch_values):
 
 def open_values_balanced(m, edge_values):
     return tuple(edge_values[eid] for eid in m.marking)
+
+
+def recursive_reduced_loop(m, base):
+    """Reference for ``reduced_loop``, written recursively: a search over
+    simple paths from each candidate base vertex back to itself, branches
+    in declaration order.  Empty when no vertex lies on a cycle."""
+    g = m.graph
+
+    def extend(v0, cur, used, visited, path):
+        for b in g.branches_at[cur]:
+            if b[0] in used:
+                continue
+            w = g.incidence(g.partner(b))
+            if w is None:
+                continue
+            if w == v0:
+                return path + [b]
+            if w in visited:
+                continue
+            found = extend(v0, w, used | {b[0]}, visited | {w}, path + [b])
+            if found:
+                return found
+        return None
+
+    for v0 in (base, *(v for v in g.vertices if v != base)):
+        cycle = extend(v0, v0, frozenset(), frozenset({v0}), [])
+        if cycle:
+            return cycle
+    return []

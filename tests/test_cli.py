@@ -81,6 +81,16 @@ def test_enumerate_limit_is_prefix(capsys):
     assert full.splitlines()[:3] == head.splitlines()
 
 
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+def test_enumerate_long_cycle_first_numbering(capsys, kind):
+    code, out, err = run(
+        capsys, "enumerate", "--builtin", "cycle:1200", "--p", "5", "--kind", kind,
+        "--limit", "1",
+    )
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1
+
+
 def test_enumerate_constraint(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--p", "7", "--kind", "strict", "--constraint", "2",
@@ -196,6 +206,20 @@ def test_verify_exit_codes(capsys):
     assert run(capsys, "verify", "miura", "--p", "5", "--builtin", "dumbbell")[0] == 0
     assert run(capsys, "verify", "figure")[0] == 0
     assert run(capsys, "verify", "p048", "--builtin", "theta")[0] == 2
+
+
+@pytest.mark.parametrize("theorem", ("p048", "p048_structure", "miura"))
+def test_verify_graph_file_after_options(tmp_path, capsys, theorem):
+    for graph in (tv.cycle_with_legs(3), tv.figure_tree()):
+        path = tmp_path / "graph.json"
+        path.write_text(tv.dumps_graph(graph))
+        first = run(capsys, "verify", theorem, str(path), "--p", "5")
+        assert first[0] in (0, 3) and first[1]
+        assert run(capsys, "verify", theorem, "--p", "5", str(path)) == first
+        with pytest.raises(SystemExit) as info:
+            main(["verify", theorem, "--p", "5", str(path), "extra"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: extra" in capsys.readouterr().err
 
 
 def test_verify_report_is_json(capsys):

@@ -115,3 +115,10 @@ def test_pp004_statement_by_hand(p):
     for t, flag in tv.tripod_strict_set(p):
         image = tuple(tv.mu_value(p, x) for x in t)
         assert flag == star(p, *image)
+
+
+@pytest.mark.parametrize("value", [7, -1, True, "3", 3.0])
+def test_mu_value_rejects_non_residues(value):
+    with pytest.raises(ValueError) as info:
+        tv.mu_value(7, value)
+    assert str(info.value) == f"value {value!r} is not a residue in 0..6"

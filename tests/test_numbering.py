@@ -171,3 +171,105 @@ def test_dotted_edge_ids_survive_roundtrip():
     a = BranchNumbering(5, {("a.b", 0): 2, ("a.b", 1): 3, ("c.d", 0): 1, ("c.d", 1): 4})
     text = tv.dumps_numbering(g, a)
     assert tv.loads_numbering(text) == a
+
+
+# -- validation pinned exactly: accepted inputs, rejected inputs, messages --
+
+def raises_exactly(message, build, *args):
+    with pytest.raises(ValueError) as info:
+        build(*args)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "key", [("e",), ("e", 0, 1), "e0", (1, 0), ("e", 2), ("e", -1), ("e", None), ("e", "0")]
+)
+def test_branch_numbering_rejects_bad_key(key):
+    raises_exactly(f"bad branch key {key!r}", BranchNumbering, 11, {key: 1})
+    # The key is checked before its value, and before any involution.
+    raises_exactly(
+        f"bad branch key {key!r}", BranchNumbering, 11, {("f", 0): 2, ("f", 1): 3, key: 11}
+    )
+
+
+@pytest.mark.parametrize("value", ["1", 1.0, None, True, False, 11, -1])
+def test_branch_numbering_rejects_bad_value(value):
+    message = f"value {value!r} is not a residue in 0..10"
+    raises_exactly(message, BranchNumbering, 11, {("e", 0): value, ("e", 1): 1})
+    raises_exactly(message, BranchNumbering, 11, {("e", 0): 1, ("e", 1): value})
+    # A bad value anywhere wins over a broken involution listed before it.
+    raises_exactly(
+        message, BranchNumbering, 11, {("f", 0): 2, ("f", 1): 3, ("e", 0): value, ("e", 1): 1}
+    )
+
+
+def test_branch_numbering_missing_slot():
+    for key in (("e", 0), ("e", 1)):
+        raises_exactly("edge 'e' is missing a branch slot", BranchNumbering, 11, {key: 1})
+    raises_exactly(
+        "edge 'f' is missing a branch slot",
+        BranchNumbering, 11, {("f", 1): 1, ("e", 0): 2, ("e", 1): 3},
+    )
+
+
+def test_branch_numbering_broken_involution_message():
+    message = "edge 'e' breaks the involution: 2 paired with 3"
+    raises_exactly(message, BranchNumbering, 11, {("e", 0): 2, ("e", 1): 3})
+    raises_exactly(message, BranchNumbering, 11, {("e", 1): 3, ("e", 0): 2})
+    raises_exactly(
+        "edge 'e' breaks the involution: 0 paired with 5",
+        BranchNumbering, 11, {("e", 0): 0, ("e", 1): 5},
+    )
+    # Edges are reported in order of first appearance, whichever slot comes first.
+    raises_exactly(
+        "edge 'f' breaks the involution: 4 paired with 5",
+        BranchNumbering, 11, {("f", 1): 5, ("e", 0): 2, ("e", 1): 3, ("f", 0): 4},
+    )
+    raises_exactly(
+        message, BranchNumbering, 11, {("e", 0): 2, ("e", 1): 3, ("f", 0): 1},
+    )
+
+
+def test_branch_numbering_accepts():
+    a = BranchNumbering(11, {("e", 1): 9, ("e", 0): 2, ("z", 0): 0, ("z", 1): 0})
+    assert a.values == {("e", 1): 9, ("e", 0): 2, ("z", 0): 0, ("z", 1): 0}
+    # Slot keys compare as ints, so True stands for slot 1.
+    BranchNumbering(11, {("e", 0): 2, ("e", True): 9})
+
+    class Residue(int):
+        pass
+
+    BranchNumbering(11, {("e", 0): Residue(2), ("e", 1): Residue(9)})
+    assert BranchNumbering(3, {}).values == {}
+
+
+def test_composite_p_rejected_every_time():
+    for _ in range(2):
+        raises_exactly("p must be a prime greater than 2, got 9", BranchNumbering, 9, {})
+        raises_exactly("p must be a prime greater than 2, got 9", EdgeNumbering, 9, {})
+        raises_exactly("p must be a prime greater than 2, got 25", tv.check_prime, 25)
+
+
+def test_edge_numbering_validation():
+    raises_exactly("bad edge key 1", EdgeNumbering, 5, {"a": 1, 1: 1})
+    raises_exactly("bad edge key ('a', 0)", EdgeNumbering, 5, {("a", 0): 1})
+    for value in (5, -1, True, "1", 1.0):
+        raises_exactly(
+            f"value {value!r} is not a residue in 0..4", EdgeNumbering, 5, {"a": value}
+        )
+    assert EdgeNumbering(5, {"a": 0, "b": 4}).values == {"a": 0, "b": 4}
+
+
+def test_missing_branch_raises_in_predicates():
+    lwl = tv.loop_with_leg()
+    partial = BranchNumbering(7, {("loop", 0): 1, ("loop", 1): 6})
+    message = "numbering has no value for branch ('leg', 0)"
+    raises_exactly(message, tv.numbering_to_json_obj, lwl, partial)
+    raises_exactly(message, tv.is_strict, lwl, partial)
+    raises_exactly(message, tv.dumps_numbering, lwl, partial)
+    # A zero branch ahead of the gap settles is_strict before the gap is seen.
+    assert not tv.is_strict(lwl, BranchNumbering(7, {("loop", 0): 0, ("loop", 1): 0}))
+    raises_exactly(
+        "numbering has no value for edge 'leg'",
+        tv.numbering_to_json_obj, lwl, EdgeNumbering(7, {"loop": 1}),
+    )

@@ -4,7 +4,13 @@ from collections import Counter
 import pytest
 
 import trivalent as tv
-from trivalent.search import EnumerationQuery, count, count_by_contraction, enumerate_numberings
+from trivalent.search import (
+    EnumerationQuery,
+    _Problem,
+    count,
+    count_by_contraction,
+    enumerate_numberings,
+)
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
 from oracles import naive_balanced, naive_strict, open_values_strict
@@ -103,6 +109,22 @@ def test_limit_yields_a_prefix():
         assert [tv.dumps_numbering(m, a) for a in enumerate_numberings(m, q_k)] == full[:k]
 
 
+@pytest.mark.parametrize("k", (0, 1, 3))
+def test_limit_pulls_no_solution_past_the_last(monkeypatch, k):
+    pulled = []
+    solutions = _Problem.solutions
+
+    def counted(self):
+        for sol in solutions(self):
+            pulled.append(sol)
+            yield sol
+
+    monkeypatch.setattr(_Problem, "solutions", counted)
+    out = list(enumerate_numberings(tv.tripod(), EnumerationQuery(7, "strict", limit=k)))
+    assert len(out) == k
+    assert len(pulled) == k
+
+
 def test_strict_slot_convention():
     m = tv.loop_with_leg()
     for a in enumerate_numberings(m, EnumerationQuery(7, "strict")):
@@ -142,8 +164,10 @@ def test_balanced_constraint_is_radii():
 def test_constraint_arity_mismatch():
     with pytest.raises(ValueError):
         count(tv.tripod(), EnumerationQuery(5, "strict", constraint=(1,)))
-    with pytest.raises(ValueError):
-        list(enumerate_numberings(tv.theta(), EnumerationQuery(5, "balanced", constraint=(1,))))
+    for limit in (None, 0):
+        q = EnumerationQuery(5, "balanced", constraint=(1,), limit=limit)
+        with pytest.raises(ValueError):
+            list(enumerate_numberings(tv.theta(), q))
 
 
 def test_zero_exponent_is_unreachable_for_strict():
@@ -157,8 +181,9 @@ def test_invalid_graphs_are_rejected():
         SemiGraph(("a", "b"), (Edge("e", ("a", "b")), Edge("l", ("a", OPEN)))),
         ("l",),
     )
-    with pytest.raises(tv.InvalidGraphError):
-        list(enumerate_numberings(degree_two, EnumerationQuery(5, "strict")))
+    for limit in (None, 0):
+        with pytest.raises(tv.InvalidGraphError):
+            list(enumerate_numberings(degree_two, EnumerationQuery(5, "strict", limit=limit)))
     unmarked = MarkedSemiGraph(tv.tripod().graph, ())
     with pytest.raises(tv.InvalidGraphError):
         count_by_contraction(unmarked, EnumerationQuery(5, "balanced"))

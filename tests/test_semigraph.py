@@ -6,6 +6,8 @@ import pytest
 import trivalent as tv
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, StructureError
 
+from oracles import recursive_reduced_loop
+
 
 BUILDERS = [
     ("tripod", tv.tripod, (0, 3)),
@@ -171,6 +173,43 @@ def test_reduced_loop_rebased_when_base_off_cycle():
     assert tv.graph_type(m) == tv.GraphType(1, 2)
     walk = tv.reduced_loop(m, "v1")
     assert m.graph.incidence(walk[0]) == "v0"
+    walk_is_reduced(m.graph, walk)
+
+
+def off_cycle_graph():
+    # v0 carries a self-loop, v1 hangs off it with two legs.
+    return MarkedSemiGraph(
+        SemiGraph(
+            ("v0", "v1"),
+            (Edge("loop", ("v0", "v0")), Edge("mid", ("v0", "v1")),
+             Edge("x", ("v1", OPEN)), Edge("y", ("v1", OPEN))),
+        ),
+        ("x", "y"),
+    )
+
+
+def complete_graph_k4():
+    names = ("a", "b", "c", "d")
+    edges = [Edge(f"{u}{w}", (u, w)) for i, u in enumerate(names) for w in names[i + 1:]]
+    return MarkedSemiGraph(SemiGraph(names, tuple(edges)), ())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [tv.tripod, tv.theta, tv.dumbbell, tv.loop_with_leg, tv.figure_tree, off_cycle_graph,
+     complete_graph_k4]
+    + [pytest.param(lambda n=n: tv.cycle_with_legs(n), id=f"cycle{n}") for n in range(1, 9)],
+)
+def test_reduced_loop_matches_recursive_reference(build):
+    m = build()
+    for base in m.graph.vertices:
+        assert tv.reduced_loop(m, base) == recursive_reduced_loop(m, base)
+
+
+def test_reduced_loop_on_long_cycle():
+    m = tv.cycle_with_legs(1500)
+    walk = tv.reduced_loop(m, "v1")
+    assert len(walk) == 1500
     walk_is_reduced(m.graph, walk)
 
 
