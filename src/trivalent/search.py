@@ -1,23 +1,26 @@
 """Enumeration and exact counting of strict and balanced numberings.
 
-Two engines answer the same queries by different routes:
+Both engines read one compiled problem: each vertex as its (edge index,
+slot) branches, and one domain per edge variable.  For strict numberings
+the variable is the slot-0 branch value (1..p-1, slot 1 carrying p - x);
+for balanced numberings it is the edge value, with domain 0..(p-3)/2:
+every edge meets a vertex, where 2 * max <= sum <= p - 2.
 
 * ``enumerate_numberings`` and ``count`` run a depth-first backtracking
-  search with one variable per edge.  For strict numberings the
-  variable is the slot-0 branch value (1..p-1, slot 1 carrying p - x);
-  for balanced numberings it is the edge value, with domain 0..p-2
-  since p-1 would already break the vertex sum bound.  Edges are
-  branched in declaration order with values ascending, and whenever a
-  vertex determines its last free edge that value is propagated before
-  further branching, so the stream is deterministic and lexicographic
-  in the declared edge order.  Open branch points live on an explicit
-  stack of (edge, next domain position, trail mark) frames, so the
-  number of edges is not bounded by Python's recursion limit.
+  search.  Edges are branched in declaration order with values
+  ascending, and whenever a vertex determines its last free edge that
+  value is propagated before further branching, so the stream is
+  deterministic and lexicographic in the declared edge order.  Open
+  branch points live on an explicit stack of (edge, next domain
+  position, trail mark) frames, so the number of edges is not bounded
+  by Python's recursion limit.
 
-* ``count_by_contraction`` never materializes solutions.  Each vertex
-  becomes a 0/1 table over its incident edge variables that stores only
-  its nonzero rows, and variables are summed out one at a time in
-  greedy minimum-degree order; a join matches stored rows on shared
+* ``count_by_contraction`` never materializes solutions.  It lists the
+  query's tripod table, the branch-value triples the vertex condition
+  allows, once; each vertex's 0/1 table is that table read through the
+  vertex's branches and stores only its nonzero rows.  Variables are
+  summed out one at a time in greedy minimum-degree order, which is kept
+  up to date join by join; a join matches stored rows on shared
   variables and never walks a full domain.  What is left after all
   eliminations is the count.  For a by-exponent census the leg
   variables are retained and the final joined table is read off cell
@@ -29,6 +32,7 @@ balanced ones) pin the leg variables before either engine starts.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import warnings
 from collections import Counter, defaultdict
@@ -87,49 +91,34 @@ class _Problem:
 
     def __init__(self, m: MarkedSemiGraph, query: EnumerationQuery):
         require_valid(m)
-        self.m = m
-        self.query = query
         self.p = query.p
         self.strict = query.kind == "strict"
         g = m.graph
         self.edges = list(g.edges)
-        self.index = {e.id: i for i, e in enumerate(self.edges)}
-        self.vertices = list(g.vertices)
-        self.vertex_branches = {
-            v: tuple((self.index[eid], slot) for eid, slot in g.branches_at[v])
-            for v in g.vertices
-        }
-        # The backtracker's compiled form: vertices by index, each with its
-        # terms and whether it carries a self-loop.  A strict term is an
-        # (edge index, slot) pair and leaves the self-loop out, since x and
-        # p - x always add up to p; a balanced term is an edge index, the
-        # self-loop listed twice.
-        at = {v: i for i, v in enumerate(self.vertices)}
+        index = {e.id: i for i, e in enumerate(self.edges)}
+        at = {v: i for i, v in enumerate(g.vertices)}
+        self.vertex_branches = [
+            tuple((index[eid], slot) for eid, slot in g.branches_at[v]) for v in g.vertices
+        ]
         self.edge_vertices = [
             tuple(dict.fromkeys(at[end] for end in e.ends if end is not None))
             for e in self.edges
         ]
-        self.vertex_loop = []
-        self.vertex_terms = []
-        for incident in self.vertex_branches.values():
-            loops = {ei for ei, _ in incident if self.edges[ei].is_loop}
-            self.vertex_loop.append(bool(loops))
-            if self.strict:
-                terms = tuple((ei, slot) for ei, slot in incident if ei not in loops)
-            else:
-                terms = tuple(ei for ei, _ in incident)
-            self.vertex_terms.append(terms)
+        # The backtracker's terms: strict ones are branches and leave the
+        # self-loop out, since x and p - x always add up to p; balanced
+        # ones are edge indices, the self-loop listed twice.
+        loop = [e.is_loop for e in self.edges]
+        self.vertex_loop = [any(loop[ei] for ei, _ in bs) for bs in self.vertex_branches]
+        self.vertex_terms = [
+            tuple(b for b in bs if not loop[b[0]]) if self.strict else tuple(ei for ei, _ in bs)
+            for bs in self.vertex_branches
+        ]
         self.edge_ids = [e.id for e in self.edges]
         self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
-        if self.strict:
-            self.domain = range(1, self.p)
-        else:
-            self.domain = range(self.p - 1)
+        self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
 
         # Leg bookkeeping in marking order: (edge index, open slot).
-        self.legs = [
-            (self.index[eid], g.edge(eid).open_slot()) for eid in m.marking
-        ]
+        self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
 
         self.feasible = True
         self.seeds: dict[int, int] = {}
@@ -140,25 +129,15 @@ class _Problem:
                     f"graph has {len(self.legs)} legs"
                 )
             for (ei, s_open), eps in zip(self.legs, query.constraint):
-                if self.strict:
-                    if eps == 0:
-                        self.feasible = False
-                        break
-                    x = eps if s_open == 0 else self.p - eps
-                else:
-                    if eps > self.p - 2:
-                        self.feasible = False
-                        break
-                    x = eps
+                x = self.p - eps if self.strict and s_open else eps
+                if x not in self.domain:
+                    self.feasible = False
+                    break
                 self.seeds[ei] = x
 
-    def branch_value(self, x: int, slot: int) -> int:
-        if self.strict and slot == 1:
-            return self.p - x
-        return x
-
     def exponent(self, values) -> ExponentVector:
-        return tuple(self.branch_value(values[ei], s) for ei, s in self.legs)
+        p, strict = self.p, self.strict
+        return tuple(p - values[ei] if strict and s else values[ei] for ei, s in self.legs)
 
     # -- vertex reasoning ---------------------------------------------------
 
@@ -377,54 +356,73 @@ def _join(factors, drop=None):
 
 
 def _join_and_sum(factors, keep, max_table_width):
-    """Sum out every variable not in ``keep``; returns the remaining factors."""
-    factors = list(factors)
-    alive = set()
-    for scope, _ in factors:
-        alive.update(scope)
-    alive -= keep
+    """Sum out every variable not in ``keep``; returns the remaining factors.
 
-    def degree(var):
-        neighbors = set()
-        for scope, _ in factors:
-            if var in scope:
-                neighbors.update(scope)
-        neighbors.discard(var)
-        return len(neighbors)
+    Variables go in minimum-degree order, ties to the smallest.  Each
+    variable keeps the ids of the factors holding it, and a join pushes
+    fresh degrees for its scope onto a heap; stale entries are skipped.
+    """
+    factors = dict(enumerate(factors))
+    holders = defaultdict(set)
+    for fid, (scope, _) in factors.items():
+        for u in scope:
+            holders[u].add(fid)
+    alive = set(holders) - keep
 
+    def degree(u):
+        return len(set().union(*(factors[fid][0] for fid in holders[u]))) - 1
+
+    heap = [(degree(u), u) for u in alive]
+    heapq.heapify(heap)
+    new_ids = itertools.count(len(factors))
     while alive:
-        var = min(alive, key=lambda u: (degree(u), u))
+        d, var = heapq.heappop(heap)
+        if var not in alive or d != degree(var):
+            continue
         alive.remove(var)
-        touching = [f for f in factors if var in f[0]]
-        rest = [f for f in factors if var not in f[0]]
-        width = len(set().union(*(scope for scope, _ in touching)))
+        touched = holders.pop(var)
+        scope, rows = _join([factors.pop(fid) for fid in sorted(touched)], drop=var)
+        width = len(scope) + 1
         if width > max_table_width:
             warnings.warn(
                 f"contraction table spans {width} variables "
                 f"(bound {max_table_width})",
                 stacklevel=3,
             )
-        factors = rest + [_join(touching, drop=var)]
-    return factors
+        fid = next(new_ids)
+        factors[fid] = scope, rows
+        for u in scope:
+            holders[u] = holders[u] - touched | {fid}
+            if u in alive:
+                heapq.heappush(heap, (degree(u), u))
+    return list(factors.values())
 
 
-def _vertex_factor(problem: _Problem, v):
-    """The 0/1 table of vertex ``v`` over its distinct incident edges."""
-    incident = problem.vertex_branches[v]
+def _tripod_table(problem: _Problem):
+    """The branch-value triples (m1, m2, m3) the vertex condition allows."""
+    p, domain = problem.p, problem.domain
+    if problem.strict:
+        return [(a, b, p + 1 - a - b) for a in domain for b in domain if p + 1 - a - b in domain]
+    return [t for t in itertools.product(domain, repeat=3) if balanced_triple(p, *t)]
+
+
+def _vertex_factor(problem: _Problem, incident, triples):
+    """The 0/1 table of a vertex over its distinct incident edges: the
+    tripod table ``triples`` read through its branches ``incident``.  A
+    slot-1 strict value m is the edge value p - m, a self-loop's two
+    branches must give one edge value, a seeded edge must carry its seed."""
     scope = tuple(sorted({ei for ei, _ in incident}))
-    positions = {ei: i for i, ei in enumerate(scope)}
-    domains = [
-        (problem.seeds[ei],) if ei in problem.seeds else problem.domain for ei in scope
-    ]
+    p, seeds = problem.p, problem.seeds
+    flips = [problem.strict and slot == 1 for _, slot in incident]
     rows = {}
-    for combo in itertools.product(*domains):
-        ms = [problem.branch_value(combo[positions[ei]], slot) for ei, slot in incident]
-        if problem.strict:
-            ok = sum(ms) == problem.p + 1
+    for ms in triples:
+        values = {}
+        for (ei, _), flip, m in zip(incident, flips, ms):
+            x = p - m if flip else m
+            if values.setdefault(ei, x) != x or seeds.get(ei, x) != x:
+                break
         else:
-            ok = balanced_triple(problem.p, *ms)
-        if ok:
-            rows[combo] = 1
+            rows[tuple(values[ei] for ei in scope)] = 1
     return scope, rows
 
 
@@ -439,7 +437,8 @@ def count_by_contraction(
     if not problem.feasible:
         return CensusReport(0, "contraction", {} if by_exponent else None)
 
-    factors = [_vertex_factor(problem, v) for v in problem.vertices]
+    triples = _tripod_table(problem)
+    factors = [_vertex_factor(problem, bs, triples) for bs in problem.vertex_branches]
     keep = {ei for ei, _ in problem.legs} if by_exponent else set()
     # Join what is left (over the retained leg variables, or nothing) and
     # read the cells off its rows.

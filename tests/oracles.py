@@ -115,3 +115,33 @@ def recursive_reduced_loop(m, base):
         if cycle:
             return cycle
     return []
+
+
+def product_vertex_table(m, p, kind, v, constraint=None):
+    """Reference for a contraction vertex table: vertex ``v``'s 0/1 table
+    over its distinct incident edges (sorted edge indices), by a scan of
+    the product of their domains.  The balanced scan runs over 0..p-2,
+    so a row the engine's narrower domain loses would show up here.
+    ``constraint`` seeds the legs as exponents (strict) or radii
+    (balanced), reduced mod p."""
+    g = m.graph
+    strict = kind == "strict"
+    index = {e.id: i for i, e in enumerate(g.edges)}
+    seeds = {}
+    for eid, eps in zip(m.marking, constraint or ()):
+        eps %= p
+        seeds[index[eid]] = p - eps if strict and g.edge(eid).open_slot() == 1 else eps
+    incident = [(index[eid], slot) for eid, slot in g.branches_at[v]]
+    scope = tuple(sorted({ei for ei, _ in incident}))
+    positions = {ei: i for i, ei in enumerate(scope)}
+    domain = range(1, p) if strict else range(p - 1)
+    domains = [(seeds[ei],) if ei in seeds else domain for ei in scope]
+    rows = {}
+    for combo in itertools.product(*domains):
+        ms = [
+            p - combo[positions[ei]] if strict and slot == 1 else combo[positions[ei]]
+            for ei, slot in incident
+        ]
+        if (sum(ms) == p + 1) if strict else star(p, *ms):
+            rows[combo] = 1
+    return scope, rows

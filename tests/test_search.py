@@ -7,13 +7,15 @@ import trivalent as tv
 from trivalent.search import (
     EnumerationQuery,
     _Problem,
+    _tripod_table,
+    _vertex_factor,
     count,
     count_by_contraction,
     enumerate_numberings,
 )
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
-from oracles import naive_balanced, naive_strict, open_values_strict
+from oracles import naive_balanced, naive_strict, open_values_strict, product_vertex_table
 
 BUILDERS = {
     "tripod": tv.tripod,
@@ -135,9 +137,12 @@ def test_strict_slot_convention():
 
 
 def test_balanced_never_uses_top_value():
-    m = tv.theta()
-    for a in enumerate_numberings(m, EnumerationQuery(7, "balanced")):
-        assert all(v <= 5 for v in a.values.values())
+    # 2 * max <= sum <= p - 2 at every vertex, so no edge value exceeds (p - 3) / 2.
+    for builder in BUILDERS.values():
+        m = builder()
+        for p in (7, 11):
+            for a in enumerate_numberings(m, EnumerationQuery(p, "balanced")):
+                assert max(a.values.values()) <= (p - 3) // 2
 
 
 def test_strict_constraint_examples():
@@ -159,6 +164,18 @@ def test_balanced_constraint_is_radii():
         assert count(m, q).total == expected
         assert count_by_contraction(m, q).total == expected
     assert count(m, EnumerationQuery(5, "balanced", constraint=(4,))).total == 0
+    # Every radius 0..p-1 per leg, against the naive scan; radii above
+    # (p - 3) / 2 are turned away at setup.
+    p = 7
+    for m in (tv.loop_with_leg(), tv.cycle_with_legs(2)):
+        expected = Counter(
+            tuple(sol[eid] for eid in m.marking) for sol in naive_balanced(m, p)
+        )
+        for radii in itertools.product(range(p), repeat=len(m.marking)):
+            q = EnumerationQuery(p, "balanced", constraint=radii)
+            assert count(m, q).total == expected.get(radii, 0)
+            assert count_by_contraction(m, q).total == expected.get(radii, 0)
+            assert _Problem(m, q).feasible == (max(radii) <= (p - 3) // 2)
 
 
 def test_constraint_arity_mismatch():
@@ -244,6 +261,33 @@ def test_by_exponent_with_no_legs_is_single_cell():
 def test_contraction_width_warning():
     with pytest.warns(UserWarning, match="contraction table"):
         count_by_contraction(tv.theta(), EnumerationQuery(5, "balanced"), max_table_width=1)
+
+
+def test_contraction_long_strict_cycle():
+    # Each elimination step touches only the joined scope, so a long chain
+    # of small tables stays fast.
+    assert count_by_contraction(tv.cycle_with_legs(300), EnumerationQuery(5, "strict")).total == 4
+
+
+TABLE_BUILDERS = {**BUILDERS, "cycle4": lambda: tv.cycle_with_legs(4), "figure_tree": tv.figure_tree}
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+@pytest.mark.parametrize("name", TABLE_BUILDERS)
+def test_vertex_tables_match_product_scan(name, kind, p):
+    m = TABLE_BUILDERS[name]()
+    constraints = [None]
+    if m.marking:
+        # A cell that holds a numbering, so the seeded tables are not empty.
+        first = next(enumerate_numberings(m, EnumerationQuery(p, kind)))
+        constraints.append(tv.exponent_of(m, first) if kind == "strict" else tv.radii_of(m, first))
+    for constraint in constraints:
+        problem = _Problem(m, EnumerationQuery(p, kind, constraint=constraint))
+        triples = _tripod_table(problem)
+        for v, incident in zip(m.graph.vertices, problem.vertex_branches):
+            table = product_vertex_table(m, p, kind, v, constraint)
+            assert _vertex_factor(problem, incident, triples) == table
 
 
 def test_census_report_json_shape():
