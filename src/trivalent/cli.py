@@ -31,6 +31,7 @@ from .miura import check_pp004, miura_transform
 from .search import EnumerationQuery, count, count_by_contraction, enumerate_numberings
 from .semigraph import StructureError, validate
 from .verify import (
+    FIGURE_P,
     TheoremReport,
     verify_figure_vector,
     verify_miura,
@@ -150,9 +151,20 @@ def _report_exit(report: TheoremReport) -> int:
     return PASS if report.passed else FAIL
 
 
+def _refuse_graph(args, what: str):
+    if args.graph is not None or args.builtin is not None:
+        raise StructureError(f"verify {args.theorem} takes no graph: it checks {what}")
+
+
 def cmd_verify(args) -> int:
     if args.theorem == "figure":
+        what = f"a fixed tree at p={FIGURE_P}"
+        _refuse_graph(args, what)
+        if args.p is not None:
+            raise StructureError(f"verify figure takes no --p: it checks {what}")
         return _report_exit(verify_figure_vector())
+    if args.theorem == "pp004":
+        _refuse_graph(args, "the tripod census")
     if args.p is None:
         raise StructureError(f"verify {args.theorem} requires --p")
     p = check_prime(args.p)

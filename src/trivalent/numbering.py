@@ -25,9 +25,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Mapping
 
-from .semigraph import Branch, MarkedSemiGraph, StructureError
+from .semigraph import Branch, MarkedSemiGraph, SemiGraph, StructureError
 
 ExponentVector = tuple[int, ...]
 
@@ -214,6 +215,16 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 # Branch keys are "<edge id>.<slot>".  Canonical output orders values by
 # the graph's edge declaration order (slot 0 before slot 1), one line
 # per numbering, so streams re-serialize byte-identically.
+#
+# Keys, their order and their JSON escaping are fixed per graph, so
+# ``dumps_numbering`` fills a line template compiled once per graph and
+# kind: a %-format string such as
+# '{"p": %d, "kind": "strict", "branch_values": {"e1.0": %d, ...}}',
+# whose labels are escaped by ``json.dumps`` with any "%" doubled, and
+# an ``itemgetter`` reading the values in that order.  Both are stored
+# on the graph (``SemiGraph.numbering_lines``), so a line costs one
+# getter call and one %-format.  ``numbering_to_json_obj`` builds the
+# same line as a dict; it serves every other caller and the error path.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:
     if isinstance(a, EdgeNumbering):
@@ -257,8 +268,38 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
     raise StructureError(f"unknown numbering kind {kind!r}")
 
 
+def _line(kind: str, field: str, labels, keys):
+    """The %-format template of one numbering line and the getter of its values."""
+    entries = ", ".join(json.dumps(label).replace("%", "%%") + ": %d" for label in labels)
+    template = f'{{"p": %d, "kind": "{kind}", "{field}": {{{entries}}}}}'
+    if len(keys) > 1:
+        return template, itemgetter(*keys)
+    # itemgetter of one key returns a bare value, and of none cannot be built.
+    return template, lambda values: tuple([values[k] for k in keys])
+
+
+def compile_numbering_lines(g: SemiGraph):
+    """(strict, balanced) line forms of g; see the serialization notes above."""
+    edge_ids = [e.id for e in g.edges]
+    return (
+        _line(
+            "strict",
+            "branch_values",
+            [label for label, _ in g.branch_labels],
+            [b for _, b in g.branch_labels],
+        ),
+        _line("balanced", "edge_values", edge_ids, edge_ids),
+    )
+
+
 def dumps_numbering(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> str:
-    return json.dumps(numbering_to_json_obj(m, a))
+    strict, balanced = m.graph.numbering_lines
+    template, get = balanced if isinstance(a, EdgeNumbering) else strict
+    try:
+        return template % ((a.p,) + get(a.values))
+    except KeyError:
+        # A missing branch or edge: raise the message numbering_to_json_obj gives.
+        return json.dumps(numbering_to_json_obj(m, a))
 
 
 def loads_numbering(text: str) -> BranchNumbering | EdgeNumbering:

@@ -46,7 +46,7 @@ from .numbering import (
     balanced_triple,
     check_prime,
 )
-from .semigraph import MarkedSemiGraph, require_valid
+from .semigraph import MarkedSemiGraph, StructureError, require_valid
 
 KINDS = ("strict", "balanced")
 
@@ -124,7 +124,7 @@ class _Problem:
         self.seeds: dict[int, int] = {}
         if query.constraint is not None:
             if len(query.constraint) != len(self.legs):
-                raise ValueError(
+                raise StructureError(
                     f"constraint has {len(query.constraint)} entries, "
                     f"graph has {len(self.legs)} legs"
                 )

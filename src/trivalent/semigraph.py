@@ -120,6 +120,16 @@ class SemiGraph:
         """("<edge id>.<slot>", branch) for every branch, in ``branches()`` order."""
         return tuple((f"{b[0]}.{b[1]}", b) for b in self.branches())
 
+    @cached_property
+    def numbering_lines(self):
+        """The compiled JSON line of a strict and of a balanced numbering.
+
+        Built once per graph for ``numbering.dumps_numbering``.
+        """
+        from .numbering import compile_numbering_lines  # numbering imports this module
+
+        return compile_numbering_lines(self)
+
     @staticmethod
     def partner(b: Branch) -> Branch:
         return (b[0], 1 - b[1])
@@ -186,6 +196,10 @@ class MarkedSemiGraph:
 
     def marked_branches(self) -> tuple[Branch, ...]:
         """Open branches in marking order."""
+        return self._marked_branches
+
+    @cached_property
+    def _marked_branches(self) -> tuple[Branch, ...]:
         return tuple(
             (edge_id, self.graph.edge(edge_id).open_slot()) for edge_id in self.marking
         )

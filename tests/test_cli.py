@@ -51,6 +51,8 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "enumerate", "--p", "5", "--kind", "strict", "--constraint", "a,b",
                "--builtin", "tripod")[0] == 2
     assert run(capsys, "count", "--p", "5", "--kind", "strict", "--builtin", "cycle:0")[0] == 2
+    assert run(capsys, "verify", "figure", "--p", "7")[0] == 2
+    assert run(capsys, "verify", "pp004", "--p", "5", "--builtin", "theta")[0] == 2
 
 
 def test_enumerate_stream(capsys):
@@ -106,7 +108,7 @@ def test_enumerate_constraint(capsys):
         capsys, "enumerate", "--p", "7", "--kind", "strict", "--constraint", "1,2",
         "--builtin", "loop_with_leg",
     )
-    assert code == 1 and "legs" in err
+    assert code == 2 and "legs" in err
 
 
 def test_enumerate_from_file(tmp_path, capsys):

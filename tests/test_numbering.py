@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -173,6 +174,76 @@ def test_dotted_edge_ids_survive_roundtrip():
     assert tv.loads_numbering(text) == a
 
 
+# -- dumps_numbering fills a compiled line; it must equal json.dumps of the dict --
+
+def escaping_tripod():
+    from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
+
+    ids = ('a%d"b', "\u00e9\u2713", "c\\d.e")
+    return MarkedSemiGraph(SemiGraph(("v",), tuple(Edge(i, ("v", OPEN)) for i in ids)), ids)
+
+
+DUMPS_GRAPHS = {
+    "tripod": tv.tripod,
+    "theta": tv.theta,
+    "dumbbell": tv.dumbbell,
+    "loop_with_leg": tv.loop_with_leg,
+    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in (1, 2, 3, 4)},
+    "figure_tree": tv.figure_tree,
+    "escaping_tripod": escaping_tripod,
+}
+
+
+def assert_dumps_matches_dict(m, numberings):
+    for a in numberings:
+        assert tv.dumps_numbering(m, a) == json.dumps(tv.numbering_to_json_obj(m, a))
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+@pytest.mark.parametrize("name", DUMPS_GRAPHS)
+def test_dumps_matches_json_dumps_of_dict(name, kind, p):
+    m = DUMPS_GRAPHS[name]()
+    assert_dumps_matches_dict(m, tv.enumerate_numberings(m, tv.EnumerationQuery(p, kind)))
+
+
+def test_dumps_escapes_labels():
+    m = escaping_tripod()
+    strict = next(tv.enumerate_numberings(m, tv.EnumerationQuery(5, "strict")))
+    line = tv.dumps_numbering(m, strict)
+    assert '"a%d\\"b.0": ' in line and '"\\u00e9\\u2713.0": ' in line
+    assert '"c\\\\d.e.1": ' in line
+    assert tv.loads_numbering(line) == strict
+
+
+def test_dumps_interleaves_kinds_on_one_graph():
+    for p in (5, 7):
+        m = tv.cycle_with_legs(3)  # fresh graph: nothing compiled yet
+        strict = tv.enumerate_numberings(m, tv.EnumerationQuery(p, "strict"))
+        balanced = tv.enumerate_numberings(m, tv.EnumerationQuery(p, "balanced"))
+        lines = [a for pair in zip(balanced, strict) for a in pair]
+        assert len(lines) > 2
+        assert_dumps_matches_dict(m, lines)
+
+
+def test_dumps_with_one_edge_and_with_none():
+    from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
+
+    one = MarkedSemiGraph(SemiGraph(("v",), (Edge("x", ("v", OPEN)),)), ("x",))
+    none = MarkedSemiGraph(SemiGraph((), ()), ())
+    assert_dumps_matches_dict(
+        one, (EdgeNumbering(5, {"x": 3}), BranchNumbering(5, {("x", 0): 1, ("x", 1): 4}))
+    )
+    assert_dumps_matches_dict(none, (EdgeNumbering(5, {}), BranchNumbering(5, {})))
+    assert tv.dumps_numbering(one, EdgeNumbering(5, {"x": 3})) == (
+        '{"p": 5, "kind": "balanced", "edge_values": {"x": 3}}'
+    )
+    assert tv.dumps_numbering(none, BranchNumbering(5, {})) == (
+        '{"p": 5, "kind": "strict", "branch_values": {}}'
+    )
+    raises_exactly("numbering has no value for edge 'x'", tv.dumps_numbering, one, EdgeNumbering(5, {}))
+
+
 # -- validation pinned exactly: accepted inputs, rejected inputs, messages --
 
 def raises_exactly(message, build, *args):
@@ -272,4 +343,8 @@ def test_missing_branch_raises_in_predicates():
     raises_exactly(
         "numbering has no value for edge 'leg'",
         tv.numbering_to_json_obj, lwl, EdgeNumbering(7, {"loop": 1}),
+    )
+    raises_exactly(
+        "numbering has no value for edge 'leg'",
+        tv.dumps_numbering, lwl, EdgeNumbering(7, {"loop": 1}),
     )
