@@ -17,14 +17,19 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
 
 * ``count_by_contraction`` never materializes solutions.  It lists the
   query's tripod table, the branch-value triples the vertex condition
-  allows, once; each vertex's 0/1 table is that table read through the
-  vertex's branches and stores only its nonzero rows.  Variables are
-  summed out one at a time in greedy minimum-degree order, which is kept
-  up to date join by join; a join matches stored rows on shared
-  variables and never walks a full domain.  What is left after all
-  eliminations is the count.  For a by-exponent census the leg
-  variables are retained and the final joined table is read off cell
-  by cell.
+  allows, once.  A vertex's shape says, branch by branch, where the
+  branch's edge sits in the vertex's sorted scope, whether the value is
+  flipped (a strict slot 1), which seed the edge must carry and whether
+  it is a leg being summed out.  Each distinct shape is read off the
+  tripod table once into a table of nonzero weighted rows, which every
+  vertex of that shape shares.  A leg meets one vertex, so a leg the
+  answer does not keep is summed out inside its vertex table.  The other
+  variables are summed out one at a time in greedy minimum-degree order,
+  which is kept up to date join by join; a join matches stored rows on
+  shared variables and never walks a full domain.  What is left after
+  all eliminations is the count.  For a by-exponent census the leg
+  variables are kept and the final joined table is read off cell by
+  cell.
 
 Constraints (an exponent vector for strict queries, a radii vector for
 balanced ones) pin the leg variables before either engine starts.
@@ -37,13 +42,13 @@ import itertools
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Mapping
 
 from .numbering import (
     BranchNumbering,
     EdgeNumbering,
     ExponentVector,
-    balanced_triple,
     check_prime,
 )
 from .semigraph import MarkedSemiGraph, StructureError, require_valid
@@ -63,11 +68,15 @@ class EnumerationQuery:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.constraint is not None:
-            object.__setattr__(
-                self, "constraint", tuple(int(c) % self.p for c in self.constraint)
-            )
-        if self.limit is not None and self.limit < 0:
-            raise ValueError("limit must be nonnegative")
+            constraint = tuple(self.constraint)
+            if any(isinstance(c, bool) or not isinstance(c, int) for c in constraint):
+                raise ValueError(f"constraint entries must be integers, got {constraint!r}")
+            object.__setattr__(self, "constraint", tuple(c % self.p for c in constraint))
+        if self.limit is not None:
+            if isinstance(self.limit, bool) or not isinstance(self.limit, int):
+                raise ValueError(f"limit must be an integer, got {self.limit!r}")
+            if self.limit < 0:
+                raise ValueError("limit must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -320,38 +329,60 @@ def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
 # ---------------------------------------------------------------------------
 # contraction
 
+def _getter(positions):
+    """A function projecting a row tuple onto ``positions``, always as a
+    tuple: a one- or zero-length slice when there are fewer than two."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(slice(0))
+
+
 def _join(factors, drop=None):
     """Multiply ``factors`` into one factor, summing out ``drop`` if given.
 
     A factor is (scope tuple, {assignment tuple: weight}) and stores only
-    its nonzero rows.  Factors are joined one at a time: each factor's
-    rows are indexed on the variables it shares with the rows built so
-    far, and every built row is extended by the rows that match it.  The
-    result's scope is the union of the input scopes in order of first
-    appearance, without ``drop``.
+    its nonzero rows.  Vertices of one shape share a rows dict, so no
+    factor's rows are ever mutated: every step builds a new dict.
+    Factors are joined one at a time: each factor's rows are indexed on
+    the variables it shares with the rows built so far, and every built
+    row is extended by the rows that match it.  ``drop`` is held by every
+    factor, so it is summed out while the last one is joined and the full
+    product is never stored.  The result's scope is the union of the input
+    scopes in order of first appearance, without ``drop``.
     """
-    scope, table = (), {(): 1}
-    for f_scope, f_rows in factors:
+    (scope, table), *rest = factors
+    if drop is not None and not rest:
+        rest = [((), {(): 1})]  # the unit factor, joined to sum ``drop`` out
+    for n, (f_scope, f_rows) in enumerate(rest, 1):
         at = {u: i for i, u in enumerate(scope)}
         shared = [i for i, u in enumerate(f_scope) if u in at]
         fresh = [i for i, u in enumerate(f_scope) if u not in at]
+        key, ext = _getter(shared), _getter(fresh)
         index = defaultdict(list)
         for row, weight in f_rows.items():
-            index[tuple(row[i] for i in shared)].append((tuple(row[i] for i in fresh), weight))
-        probe = [at[f_scope[i]] for i in shared]
-        scope += tuple(f_scope[i] for i in fresh)
+            index[key(row)].append((ext(row), weight))
+        probe = _getter([at[f_scope[i]] for i in shared])
+        fresh_scope = tuple(f_scope[i] for i in fresh)
+        if drop is not None and n == len(rest):
+            kept = [i for i, u in enumerate(scope) if u != drop]
+            head = _getter(kept)
+            summed = defaultdict(int)
+            for row, weight in table.items():
+                matches = index.get(probe(row))
+                if matches:
+                    h = head(row)
+                    for e, f_weight in matches:
+                        summed[h + e] += weight * f_weight
+            return tuple(scope[i] for i in kept) + fresh_scope, summed
+        scope += fresh_scope
         table = {
-            row + ext: weight * f_weight
+            row + e: weight * f_weight
             for row, weight in table.items()
-            for ext, f_weight in index.get(tuple(row[i] for i in probe), ())
+            for e, f_weight in index.get(probe(row), ())
         }
-    if drop is not None:
-        d = scope.index(drop)
-        scope = scope[:d] + scope[d + 1:]
-        summed: Counter = Counter()
-        for row, weight in table.items():
-            summed[row[:d] + row[d + 1:]] += weight
-        table = summed
     return scope, table
 
 
@@ -399,31 +430,71 @@ def _join_and_sum(factors, keep, max_table_width):
 
 
 def _tripod_table(problem: _Problem):
-    """The branch-value triples (m1, m2, m3) the vertex condition allows."""
+    """The branch-value triples (m1, m2, m3) the vertex condition allows,
+    in lexicographic order.  A balanced m3 lies between |m1 - m2| and
+    min(m1 + m2, p - 2 - m1 - m2), which keeps it in the domain."""
     p, domain = problem.p, problem.domain
     if problem.strict:
         return [(a, b, p + 1 - a - b) for a in domain for b in domain if p + 1 - a - b in domain]
-    return [t for t in itertools.product(domain, repeat=3) if balanced_triple(p, *t)]
+    return [
+        (a, b, c)
+        for a in domain
+        for b in domain
+        for c in range(abs(a - b), min(a + b, p - 2 - a - b) + 1)
+    ]
 
 
-def _vertex_factor(problem: _Problem, incident, triples):
-    """The 0/1 table of a vertex over its distinct incident edges: the
-    tripod table ``triples`` read through its branches ``incident``.  A
-    slot-1 strict value m is the edge value p - m, a self-loop's two
-    branches must give one edge value, a seeded edge must carry its seed."""
-    scope = tuple(sorted({ei for ei, _ in incident}))
-    p, seeds = problem.p, problem.seeds
-    flips = [problem.strict and slot == 1 for _, slot in incident]
-    rows = {}
-    for ms in triples:
-        values = {}
-        for (ei, _), flip, m in zip(incident, flips, ms):
-            x = p - m if flip else m
-            if values.setdefault(ei, x) != x or seeds.get(ei, x) != x:
-                break
-        else:
-            rows[tuple(values[ei] for ei in scope)] = 1
-    return scope, rows
+def _shape_rows(shape, triples, p):
+    """The rows of one vertex shape, read off the tripod table ``triples``.
+
+    A shape has one (position, flip, seed, folded) entry per branch:
+    the position of the branch's edge in the vertex's sorted scope,
+    whether its value m is the edge value p - m (a strict slot 1), the
+    seed its edge must carry or None, and whether its edge is a leg
+    summed out here.  Branches at one position (a self-loop) must agree.
+    Rows are keyed by the unfolded positions in order and weigh the
+    number of triples behind them.
+    """
+    first = {}
+    for b, (pos, _, _, _) in enumerate(shape):
+        first.setdefault(pos, b)
+    key = _getter([first[pos] for pos in sorted(first) if not shape[first[pos]][3]])
+    f1, f2, f3 = (flip for _, flip, _, _ in shape)
+    if f1 or f2 or f3:
+        triples = [
+            (p - m1 if f1 else m1, p - m2 if f2 else m2, p - m3 if f3 else m3)
+            for m1, m2, m3 in triples
+        ]
+    for b, (pos, _, seed, _) in enumerate(shape):
+        if seed is not None:
+            triples = [xs for xs in triples if xs[b] == seed]
+        if first[pos] != b:
+            c = first[pos]
+            triples = [xs for xs in triples if xs[b] == xs[c]]
+    rows = defaultdict(int)
+    for xs in triples:
+        rows[key(xs)] += 1
+    return rows
+
+
+def _vertex_factors(problem: _Problem, triples, folded):
+    """Each vertex's factor: its scope without the ``folded`` legs, and the
+    rows of its shape (see ``_shape_rows``).  Every distinct shape is read
+    off ``triples`` once and its rows are shared by the vertices with it."""
+    strict, seeds = problem.strict, problem.seeds
+    tables = {}
+    factors = []
+    for incident in problem.vertex_branches:
+        scope = sorted({ei for ei, _ in incident})
+        shape = tuple(
+            (scope.index(ei), strict and slot == 1, seeds.get(ei), ei in folded)
+            for ei, slot in incident
+        )
+        rows = tables.get(shape)
+        if rows is None:
+            rows = tables[shape] = _shape_rows(shape, triples, problem.p)
+        factors.append((tuple(ei for ei in scope if ei not in folded), rows))
+    return factors
 
 
 def count_by_contraction(
@@ -437,9 +508,11 @@ def count_by_contraction(
     if not problem.feasible:
         return CensusReport(0, "contraction", {} if by_exponent else None)
 
-    triples = _tripod_table(problem)
-    factors = [_vertex_factor(problem, bs, triples) for bs in problem.vertex_branches]
-    keep = {ei for ei, _ in problem.legs} if by_exponent else set()
+    # A leg meets one vertex, so a leg the read-off does not keep is summed
+    # out in its vertex's table rather than by a join.
+    legs = {ei for ei, _ in problem.legs}
+    keep, folded = (legs, set()) if by_exponent else (set(), legs)
+    factors = _vertex_factors(problem, _tripod_table(problem), folded)
     # Join what is left (over the retained leg variables, or nothing) and
     # read the cells off its rows.
     scope, table = _join(_join_and_sum(factors, keep, max_table_width))

@@ -117,13 +117,15 @@ def recursive_reduced_loop(m, base):
     return []
 
 
-def product_vertex_table(m, p, kind, v, constraint=None):
-    """Reference for a contraction vertex table: vertex ``v``'s 0/1 table
-    over its distinct incident edges (sorted edge indices), by a scan of
-    the product of their domains.  The balanced scan runs over 0..p-2,
-    so a row the engine's narrower domain loses would show up here.
+def product_vertex_table(m, p, kind, v, constraint=None, fold_legs=False):
+    """Reference for a contraction vertex table: vertex ``v``'s table over
+    its distinct incident edges (sorted edge indices), by a scan of the
+    product of their domains.  The balanced scan runs over 0..p-2, so a
+    row the engine's narrower domain loses would show up here.
     ``constraint`` seeds the legs as exponents (strict) or radii
-    (balanced), reduced mod p."""
+    (balanced), reduced mod p.  With ``fold_legs`` the legs leave the
+    scope and each row weighs the number of leg values behind it;
+    otherwise every row weighs 1."""
     g = m.graph
     strict = kind == "strict"
     index = {e.id: i for i, e in enumerate(g.edges)}
@@ -134,6 +136,8 @@ def product_vertex_table(m, p, kind, v, constraint=None):
     incident = [(index[eid], slot) for eid, slot in g.branches_at[v]]
     scope = tuple(sorted({ei for ei, _ in incident}))
     positions = {ei: i for i, ei in enumerate(scope)}
+    legs = {index[eid] for eid in m.marking} if fold_legs else set()
+    kept = [i for i, ei in enumerate(scope) if ei not in legs]
     domain = range(1, p) if strict else range(p - 1)
     domains = [(seeds[ei],) if ei in seeds else domain for ei in scope]
     rows = {}
@@ -143,5 +147,6 @@ def product_vertex_table(m, p, kind, v, constraint=None):
             for ei, slot in incident
         ]
         if (sum(ms) == p + 1) if strict else star(p, *ms):
-            rows[combo] = 1
-    return scope, rows
+            row = tuple(combo[i] for i in kept)
+            rows[row] = rows.get(row, 0) + 1
+    return tuple(scope[i] for i in kept), rows

@@ -4,11 +4,12 @@ from collections import Counter
 import pytest
 
 import trivalent as tv
+from trivalent.numbering import balanced_triple
 from trivalent.search import (
     EnumerationQuery,
     _Problem,
     _tripod_table,
-    _vertex_factor,
+    _vertex_factors,
     count,
     count_by_contraction,
     enumerate_numberings,
@@ -215,6 +216,20 @@ def test_query_validation():
         EnumerationQuery(5, "strict", limit=-1)
 
 
+@pytest.mark.parametrize("value", (4.9, 4.0, True, False, "4", None))
+def test_query_rejects_non_integer_constraint_entries(value):
+    with pytest.raises(ValueError, match="constraint"):
+        EnumerationQuery(5, "strict", constraint=(value,))
+    with pytest.raises(ValueError, match="constraint"):
+        EnumerationQuery(5, "balanced", constraint=(1, value, 1))
+
+
+@pytest.mark.parametrize("value", (2.5, 2.0, True, False, "2"))
+def test_query_rejects_non_integer_limit(value):
+    with pytest.raises(ValueError, match="limit"):
+        EnumerationQuery(7, "strict", limit=value)
+
+
 def test_count_ignores_limit():
     m = tv.tripod()
     assert count(m, EnumerationQuery(5, "strict", limit=1)).total == 10
@@ -276,18 +291,39 @@ TABLE_BUILDERS = {**BUILDERS, "cycle4": lambda: tv.cycle_with_legs(4), "figure_t
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
 @pytest.mark.parametrize("name", TABLE_BUILDERS)
 def test_vertex_tables_match_product_scan(name, kind, p):
+    # Every vertex's factor, its shape's shared rows under its own scope,
+    # is the product scan with the folded legs summed out, whether the
+    # legs are folded (a plain count) or kept (a by-exponent read-off).
     m = TABLE_BUILDERS[name]()
     constraints = [None]
     if m.marking:
-        # A cell that holds a numbering, so the seeded tables are not empty.
-        first = next(enumerate_numberings(m, EnumerationQuery(p, kind)))
-        constraints.append(tv.exponent_of(m, first) if kind == "strict" else tv.radii_of(m, first))
+        # Cells that hold a numbering, so the seeded tables are not empty:
+        # the first cell and the one with the most distinct leg values.
+        cells = sorted(count(m, EnumerationQuery(p, kind), by_exponent=True).by_exponent)
+        constraints += [cells[0], max(cells, key=lambda c: len(set(c)))]
     for constraint in constraints:
         problem = _Problem(m, EnumerationQuery(p, kind, constraint=constraint))
         triples = _tripod_table(problem)
-        for v, incident in zip(m.graph.vertices, problem.vertex_branches):
-            table = product_vertex_table(m, p, kind, v, constraint)
-            assert _vertex_factor(problem, incident, triples) == table
+        legs = {ei for ei, _ in problem.legs}
+        for folded in (set(), legs):
+            factors = _vertex_factors(problem, triples, folded)
+            for v, factor in zip(m.graph.vertices, factors):
+                table = product_vertex_table(m, p, kind, v, constraint, fold_legs=bool(folded))
+                assert factor == table
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 62, 2) if all(p % d for d in range(3, p, 2))])
+def test_balanced_tripod_table_is_the_filtered_product(p):
+    problem = _Problem(tv.tripod(), EnumerationQuery(p, "balanced"))
+    domain = problem.domain
+    expected = [t for t in itertools.product(domain, repeat=3) if balanced_triple(p, *t)]
+    assert _tripod_table(problem) == expected
+
+
+def test_balanced_genus_two_closed_form():
+    # Genus 2 with no legs: (p^3 - p) / 24 balanced numberings.
+    p = 101
+    assert count_by_contraction(tv.theta(), EnumerationQuery(p, "balanced")).total == (p**3 - p) // 24
 
 
 def test_census_report_json_shape():
