@@ -23,13 +23,15 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   it is a leg being summed out.  Each distinct shape is read off the
   tripod table once into a table of nonzero weighted rows, which every
   vertex of that shape shares.  A leg meets one vertex, so a leg the
-  answer does not keep is summed out inside its vertex table.  The other
-  variables are summed out one at a time in greedy minimum-degree order,
-  which is kept up to date join by join; a join matches stored rows on
-  shared variables and never walks a full domain.  What is left after
-  all eliminations is the count.  For a by-exponent census the leg
-  variables are kept and the final joined table is read off cell by
-  cell.
+  answer does not keep is summed out inside its vertex table.  Every
+  other variable is an edge, held by the tables of at most its two ends,
+  and a join replaces the tables it reads, so that holds at every step.
+  Variables are summed out in greedy minimum-degree order, kept up to
+  date join by join: each step joins the two tables at an edge's ends,
+  or sums out of its one table an edge that closes a cycle.  A join
+  matches stored rows on shared variables and never walks a full
+  domain.  The graph is connected, so one table is left: its weights add
+  up to the count, and for a by-exponent census each row is a cell.
 
 Constraints (an exponent vector for strict queries, a radii vector for
 balanced ones) pin the leg variables before either engine starts.
@@ -95,6 +97,17 @@ class CensusReport:
         return obj
 
 
+def _getter(positions):
+    """A function projecting a row tuple onto ``positions``, always as a
+    tuple: a one- or zero-length slice when there are fewer than two."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(slice(0))
+
+
 class _Problem:
     """Shared setup: indexed edges, vertex incidences, domains, seeds."""
 
@@ -126,7 +139,7 @@ class _Problem:
         self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
         self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
 
-        # Leg bookkeeping in marking order: (edge index, open slot).
+        # Legs in marking order: (edge index, open slot).
         self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
 
         self.feasible = True
@@ -137,16 +150,21 @@ class _Problem:
                     f"constraint has {len(query.constraint)} entries, "
                     f"graph has {len(self.legs)} legs"
                 )
-            for (ei, s_open), eps in zip(self.legs, query.constraint):
-                x = self.p - eps if self.strict and s_open else eps
+            for (ei, _), x in zip(self.legs, self.read_legs(query.constraint)):
                 if x not in self.domain:
                     self.feasible = False
                     break
                 self.seeds[ei] = x
 
-    def exponent(self, values) -> ExponentVector:
-        p, strict = self.p, self.strict
-        return tuple(p - values[ei] if strict and s else values[ei] for ei, s in self.legs)
+    def read_legs(self, values: tuple[int, ...]) -> ExponentVector:
+        """The exponent (strict) or radii (balanced) of leg values given in
+        marking order.  A strict leg open at slot 1 shows p - x there.  The
+        map is its own inverse, so it also turns a constraint into the leg
+        values it pins."""
+        if not self.strict:
+            return values
+        p = self.p
+        return tuple(p - x if s else x for x, (_, s) in zip(values, self.legs))
 
     # -- vertex reasoning ---------------------------------------------------
 
@@ -306,92 +324,67 @@ def enumerate_numberings(
     stops the search as soon as that many results are out.
     """
     problem = _Problem(m, query)
-    if query.limit == 0:
-        return
-    for emitted, sol in enumerate(problem.solutions(), 1):
+    for sol in itertools.islice(problem.solutions(), query.limit):
         yield problem.to_numbering(sol)
-        if emitted == query.limit:
-            return
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:
     """Exact count by exhausting the backtracking engine (limit ignored)."""
     problem = _Problem(m, query)
-    total = 0
-    cells: Counter = Counter()
-    for sol in problem.solutions():
-        total += 1
-        if by_exponent:
-            cells[problem.exponent(sol)] += 1
-    return CensusReport(total, "backtracking", dict(cells) if by_exponent else None)
+    if not by_exponent:
+        return CensusReport(sum(1 for _ in problem.solutions()), "backtracking")
+    leg_values = _getter([ei for ei, _ in problem.legs])
+    cells = Counter(problem.read_legs(leg_values(sol)) for sol in problem.solutions())
+    return CensusReport(sum(cells.values()), "backtracking", dict(cells))
 
 
 # ---------------------------------------------------------------------------
 # contraction
 
-def _getter(positions):
-    """A function projecting a row tuple onto ``positions``, always as a
-    tuple: a one- or zero-length slice when there are fewer than two."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        (i,) = positions
-        return itemgetter(slice(i, i + 1))
-    return itemgetter(slice(0))
+_UNIT = ((), {(): 1})
 
 
-def _join(factors, drop=None):
-    """Multiply ``factors`` into one factor, summing out ``drop`` if given.
+def _join(f, g, var):
+    """The product of factors ``f`` and ``g`` with ``var`` summed out.
 
     A factor is (scope tuple, {assignment tuple: weight}) and stores only
     its nonzero rows.  Vertices of one shape share a rows dict, so no
-    factor's rows are ever mutated: every step builds a new dict.
-    Factors are joined one at a time: each factor's rows are indexed on
-    the variables it shares with the rows built so far, and every built
-    row is extended by the rows that match it.  ``drop`` is held by every
-    factor, so it is summed out while the last one is joined and the full
-    product is never stored.  The result's scope is the union of the input
-    scopes in order of first appearance, without ``drop``.
+    factor's rows are ever mutated.  ``g``'s rows are indexed on the
+    variables it shares with ``f``, and each row of ``f`` meets the rows
+    that match it with ``var`` summed out at once, so the full product is
+    never stored.  ``var`` is in ``f``'s scope; the result's scope is
+    ``f``'s without it, then ``g``'s other variables.
     """
-    (scope, table), *rest = factors
-    if drop is not None and not rest:
-        rest = [((), {(): 1})]  # the unit factor, joined to sum ``drop`` out
-    for n, (f_scope, f_rows) in enumerate(rest, 1):
-        at = {u: i for i, u in enumerate(scope)}
-        shared = [i for i, u in enumerate(f_scope) if u in at]
-        fresh = [i for i, u in enumerate(f_scope) if u not in at]
-        key, ext = _getter(shared), _getter(fresh)
-        index = defaultdict(list)
-        for row, weight in f_rows.items():
-            index[key(row)].append((ext(row), weight))
-        probe = _getter([at[f_scope[i]] for i in shared])
-        fresh_scope = tuple(f_scope[i] for i in fresh)
-        if drop is not None and n == len(rest):
-            kept = [i for i, u in enumerate(scope) if u != drop]
-            head = _getter(kept)
-            summed = defaultdict(int)
-            for row, weight in table.items():
-                matches = index.get(probe(row))
-                if matches:
-                    h = head(row)
-                    for e, f_weight in matches:
-                        summed[h + e] += weight * f_weight
-            return tuple(scope[i] for i in kept) + fresh_scope, summed
-        scope += fresh_scope
-        table = {
-            row + e: weight * f_weight
-            for row, weight in table.items()
-            for e, f_weight in index.get(probe(row), ())
-        }
-    return scope, table
+    scope, table = f
+    g_scope, g_rows = g
+    at = {u: i for i, u in enumerate(scope)}
+    shared = [i for i, u in enumerate(g_scope) if u in at]
+    fresh = [i for i, u in enumerate(g_scope) if u not in at]
+    key, ext = _getter(shared), _getter(fresh)
+    index = defaultdict(list)
+    for row, weight in g_rows.items():
+        index[key(row)].append((ext(row), weight))
+    probe = _getter([at[g_scope[i]] for i in shared])
+    kept = [i for i, u in enumerate(scope) if u != var]
+    head = _getter(kept)
+    summed = defaultdict(int)
+    for row, weight in table.items():
+        matches = index.get(probe(row))
+        if matches:
+            h = head(row)
+            for e, g_weight in matches:
+                summed[h + e] += weight * g_weight
+    return tuple(scope[i] for i in kept) + tuple(g_scope[i] for i in fresh), summed
 
 
-def _join_and_sum(factors, keep, max_table_width):
-    """Sum out every variable not in ``keep``; returns the remaining factors.
+def _eliminate(factors, keep, max_table_width):
+    """Sum out every variable not in ``keep``; returns the one factor left.
 
-    Variables go in minimum-degree order, ties to the smallest.  Each
-    variable keeps the ids of the factors holding it, and a join pushes
-    fresh degrees for its scope onto a heap; stale entries are skipped.
+    An edge has at most two holders, so a third one, or a second factor
+    left over, fails an unpacking.  Variables go in minimum-degree order,
+    ties to the smallest.  Each variable keeps the ids of the factors
+    holding it, and a join pushes fresh degrees for its scope onto a
+    heap; stale entries are skipped.
     """
     factors = dict(enumerate(factors))
     holders = defaultdict(set)
@@ -412,7 +405,8 @@ def _join_and_sum(factors, keep, max_table_width):
             continue
         alive.remove(var)
         touched = holders.pop(var)
-        scope, rows = _join([factors.pop(fid) for fid in sorted(touched)], drop=var)
+        f, g = [factors.pop(fid) for fid in sorted(touched)] + [_UNIT] * (2 - len(touched))
+        scope, rows = _join(f, g, var)
         width = len(scope) + 1
         if width > max_table_width:
             warnings.warn(
@@ -426,7 +420,8 @@ def _join_and_sum(factors, keep, max_table_width):
             holders[u] = holders[u] - touched | {fid}
             if u in alive:
                 heapq.heappush(heap, (degree(u), u))
-    return list(factors.values())
+    (factor,) = factors.values()
+    return factor
 
 
 def _tripod_table(problem: _Problem):
@@ -509,17 +504,14 @@ def count_by_contraction(
         return CensusReport(0, "contraction", {} if by_exponent else None)
 
     # A leg meets one vertex, so a leg the read-off does not keep is summed
-    # out in its vertex's table rather than by a join.
+    # out in its vertex's table rather than by a join, and is in no scope.
     legs = {ei for ei, _ in problem.legs}
-    keep, folded = (legs, set()) if by_exponent else (set(), legs)
-    factors = _vertex_factors(problem, _tripod_table(problem), folded)
-    # Join what is left (over the retained leg variables, or nothing) and
-    # read the cells off its rows.
-    scope, table = _join(_join_and_sum(factors, keep, max_table_width))
+    factors = _vertex_factors(problem, _tripod_table(problem), set() if by_exponent else legs)
+    scope, table = _eliminate(factors, legs, max_table_width)
     total = sum(table.values())
     if not by_exponent:
         return CensusReport(total, "contraction")
-    cells: Counter = Counter()
-    for row, weight in table.items():
-        cells[problem.exponent(dict(zip(scope, row)))] += weight
-    return CensusReport(total, "contraction", dict(cells))
+    # The scope is the kept legs: each row is one cell.
+    leg_values = _getter([scope.index(ei) for ei, _ in problem.legs])
+    cells = {problem.read_legs(leg_values(row)): n for row, n in table.items()}
+    return CensusReport(total, "contraction", cells)

@@ -204,10 +204,6 @@ class MarkedSemiGraph:
             (edge_id, self.graph.edge(edge_id).open_slot()) for edge_id in self.marking
         )
 
-    @property
-    def r(self) -> int:
-        return len(self.graph.leg_edges())
-
 
 @dataclass(frozen=True)
 class GraphType:

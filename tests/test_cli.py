@@ -109,6 +109,14 @@ def test_enumerate_constraint(capsys):
         "--builtin", "loop_with_leg",
     )
     assert code == 2 and "legs" in err
+    # An empty constraint is the empty vector: a graph with no legs keeps
+    # every numbering.
+    full = run(capsys, "enumerate", "--p", "7", "--kind", "balanced", "--builtin", "theta")[1]
+    code, out, _ = run(
+        capsys, "enumerate", "--p", "7", "--kind", "balanced", "--constraint", "",
+        "--builtin", "theta",
+    )
+    assert code == 0 and out == full and len(out.splitlines()) == 14
 
 
 def test_enumerate_from_file(tmp_path, capsys):
@@ -128,15 +136,22 @@ def test_count_both_methods(capsys):
     assert doc["agree"] is True
     assert doc["backtracking"]["total"] == 10
     assert doc["contraction"]["total"] == 10
+    code, out, _ = run(
+        capsys, "count", "--p", "5", "--kind", "strict", "--method", "contraction",
+        "--builtin", "tripod",
+    )
+    assert code == 0
+    assert json.loads(out) == {"total": 10, "method": "contraction"}
 
 
 def test_count_by_exponent(capsys):
-    code, out, _ = run(
-        capsys, "count", "--p", "5", "--kind", "strict", "--by-exponent",
-        "--builtin", "cycle:3",
-    )
-    assert code == 0
-    assert json.loads(out)["by_exponent"] == {"4,4,4": 4}
+    for method in ((), ("--method", "contraction")):
+        code, out, _ = run(
+            capsys, "count", "--p", "5", "--kind", "strict", "--by-exponent", *method,
+            "--builtin", "cycle:3",
+        )
+        assert code == 0
+        assert json.loads(out)["by_exponent"] == {"4,4,4": 4}
 
 
 def test_count_invalid_graph_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 
 import pytest
@@ -274,8 +275,10 @@ def test_by_exponent_with_no_legs_is_single_cell():
 
 
 def test_contraction_width_warning():
-    with pytest.warns(UserWarning, match="contraction table"):
+    with pytest.warns(UserWarning, match="contraction table") as record:
         count_by_contraction(tv.theta(), EnumerationQuery(5, "balanced"), max_table_width=1)
+    # The warning names the caller of count_by_contraction.
+    assert record[0].filename == __file__
 
 
 def test_contraction_long_strict_cycle():
@@ -324,6 +327,46 @@ def test_balanced_genus_two_closed_form():
     # Genus 2 with no legs: (p^3 - p) / 24 balanced numberings.
     p = 101
     assert count_by_contraction(tv.theta(), EnumerationQuery(p, "balanced")).total == (p**3 - p) // 24
+
+
+def _closed(pairs):
+    """A closed 3-regular graph with one edge per vertex pair in ``pairs``."""
+    vertices = tuple(dict.fromkeys(v for pair in pairs for v in pair))
+    edges = tuple(Edge(f"{a}-{b}", (a, b)) for a, b in pairs)
+    return MarkedSemiGraph(SemiGraph(vertices, edges), ())
+
+
+# Closed graphs of genus 3 to 5, whose intermediate contraction tables
+# carry open edges around several cycles.  A balanced count depends only
+# on the type, so K3,3 and the prism, both (4, 0), meet one closed form.
+CLOSED = {
+    "k4": (3, _closed(list(itertools.combinations("abcd", 2)))),
+    "k33": (4, _closed([(a, b) for a in "abc" for b in "xyz"])),
+    "prism": (4, _closed([*zip("abc", "bca"), *zip("xyz", "yzx"), *zip("abc", "xyz")])),
+    "cube": (5, _closed([(str(v), str(v | b)) for v in range(8) for b in (1, 2, 4) if not v & b])),
+}
+
+
+def _sine_sum(g, p):
+    """p^(g-1) / 2^(2g-1) * sum over 0 < t < p of sin(pi t / p)^(2-2g),
+    the balanced count of a closed genus-g graph: the generic number of
+    dormant opers (Wakabayashi, Publ. RIMS 50, 2014), rounded."""
+    terms = sum(math.sin(math.pi * t / p) ** (2 - 2 * g) for t in range(1, p))
+    return round(p ** (g - 1) / 2 ** (2 * g - 1) * terms)
+
+
+@pytest.mark.parametrize("name", CLOSED)
+def test_closed_higher_genus_counts(name):
+    genus, m = CLOSED[name]
+    assert tv.graph_type(m) == tv.GraphType(genus, 0)
+    for p in (5, 7, 11):
+        strict = EnumerationQuery(p, "strict")
+        assert count(m, strict).total == count_by_contraction(m, strict).total == 0
+        balanced = EnumerationQuery(p, "balanced")
+        total = count_by_contraction(m, balanced).total
+        assert total == _sine_sum(genus, p)
+        if p < 11:
+            assert count(m, balanced).total == total
 
 
 def test_census_report_json_shape():
