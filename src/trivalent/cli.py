@@ -263,7 +263,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return PASS
-    except (StructureError, json.JSONDecodeError, OSError) as exc:
+    except (StructureError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+        # A file that is not UTF-8 is malformed input, though its decode
+        # error is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
     except ValueError as exc:  # InvalidGraphError included

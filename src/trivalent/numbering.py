@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
-from .semigraph import Branch, MarkedSemiGraph, SemiGraph, StructureError
+from .semigraph import Branch, MarkedSemiGraph, SemiGraph, StructureError, parse_json
 
 ExponentVector = tuple[int, ...]
 
@@ -84,10 +84,6 @@ class BranchNumbering:
         p = check_prime(self.p)
         vals = dict(self.values)
         object.__setattr__(self, "values", vals)
-        # Key and residue errors are raised as they are met; the first
-        # involution failure (edges in order of first appearance) is only
-        # raised once every key and value has passed.
-        broken = None
         for key, m in vals.items():
             if (
                 not isinstance(key, tuple)
@@ -98,18 +94,15 @@ class BranchNumbering:
                 raise ValueError(f"bad branch key {key!r}")
             if m.__class__ is not int or not 0 <= m < p:
                 _check_residue(p, m)
-            if broken is None:
-                edge_id, slot = key
-                # None is never a residue: either the slot is missing or its
-                # value fails the residue test later in this loop.
-                partner = vals.get((edge_id, 1 - slot))
-                if partner is None:
-                    broken = f"edge {edge_id!r} is missing a branch slot"
-                elif partner != (p - m if m else 0):
-                    x0, x1 = (partner, m) if slot else (m, partner)
-                    broken = f"edge {edge_id!r} breaks the involution: {x0} paired with {x1}"
-        if broken is not None:
-            raise ValueError(broken)
+        # Every key and residue is sound; now the involution, edges in order
+        # of first appearance.
+        for (edge_id, slot), m in vals.items():
+            partner = vals.get((edge_id, 1 - slot))
+            if partner is None:
+                raise ValueError(f"edge {edge_id!r} is missing a branch slot")
+            if partner != (p - m if m else 0):
+                x0, x1 = (partner, m) if slot else (m, partner)
+                raise ValueError(f"edge {edge_id!r} breaks the involution: {x0} paired with {x1}")
 
 
 @dataclass(frozen=True)
@@ -132,13 +125,6 @@ class EdgeNumbering:
 
 def _no_branch(b: Branch) -> ValueError:
     return ValueError(f"numbering has no value for branch {b!r}")
-
-
-def _branch_value(a: BranchNumbering, b: Branch):
-    try:
-        return a.values[b]
-    except KeyError:
-        raise _no_branch(b) from None
 
 
 def is_branch_numbering(m: MarkedSemiGraph, p: int, assignment: Mapping[Branch, int]) -> bool:
@@ -193,7 +179,11 @@ def is_balanced(m: MarkedSemiGraph, a: EdgeNumbering) -> bool:
 
 def exponent_of(m: MarkedSemiGraph, a: BranchNumbering) -> ExponentVector:
     """Values on the open branches, in marking order."""
-    return tuple(_branch_value(a, b) for b in m.marked_branches())
+    vals = a.values
+    try:
+        return tuple([vals[b] for b in m.marked_branches()])
+    except KeyError as missing:
+        raise _no_branch(missing.args[0]) from None
 
 
 def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
@@ -303,4 +293,4 @@ def dumps_numbering(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> s
 
 
 def loads_numbering(text: str) -> BranchNumbering | EdgeNumbering:
-    return numbering_from_json_obj(json.loads(text))
+    return numbering_from_json_obj(parse_json(text))

@@ -13,7 +13,11 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   deterministic and lexicographic in the declared edge order.  Open
   branch points live on an explicit stack of (edge, next domain
   position, trail mark) frames, so the number of edges is not bounded
-  by Python's recursion limit.
+  by Python's recursion limit.  A vertex is tested only after one of
+  its edges is assigned, and every value, forced ones included, lies in
+  the domain.  So a balanced vertex with a free edge always leaves that
+  edge some value: it can fail only once it is full, and before that it
+  forces the one free edge that has a single value left.
 
 * ``count_by_contraction`` never materializes solutions.  It lists the
   query's tripod table, the branch-value triples the vertex condition
@@ -168,11 +172,12 @@ class _Problem:
 
     # -- vertex reasoning ---------------------------------------------------
 
-    def vertex_status(self, v: int, values) -> tuple[bool, tuple[tuple[int, int], ...]]:
-        """(still feasible, forced assignments) for a partially assigned vertex.
+    def vertex_status(self, v: int, values) -> tuple[tuple[int, int], ...] | None:
+        """The assignments a partially assigned vertex forces, or None when
+        it is violated.
 
         ``v`` is a vertex index and ``values`` holds an edge value or None
-        per edge index.
+        per edge index; at least one edge of ``v`` is assigned.
         """
         p = self.p
         terms = self.vertex_terms[v]
@@ -188,16 +193,18 @@ class _Problem:
                 else:
                     need -= p - x if slot else x
             if not k:
-                return (need == 0, ())
+                return () if need == 0 else None
             if not k <= need <= k * (p - 1):
-                return (False, ())
+                return None
             if k == 1:
-                return (True, ((free, p - need if free_slot else need),))
-            return (True, ())
+                return ((free, p - need if free_slot else need),)
+            return ()
         # Balanced: with the known values' sum s and maximum mx, the
-        # triangle condition on a full triple is 2 * mx <= s, and the one
-        # free value of a vertex with two known values a, b lies between
-        # |a - b| = 2 * mx - s and min(a + b, p - 2 - a - b).
+        # triangle condition on a full triple is 2 * mx <= s.  Every value
+        # is at most (p - 3) / 2, so two known values a, b always leave the
+        # free one a nonempty range, |a - b| = 2 * mx - s up to
+        # min(a + b, p - 2 - a - b), and one known value never rules out
+        # its two free ones.
         s = mx = missing = 0
         for ei in terms:
             x = values[ei]
@@ -209,23 +216,15 @@ class _Problem:
                 if x > mx:
                     mx = x
         if not missing:
-            return (2 * mx <= s <= p - 2, ())
+            return () if 2 * mx <= s <= p - 2 else None
         if missing == 1:
-            lo = 2 * mx - s
-            hi = min(s, p - 2 - s)
-        elif missing == 2 and self.vertex_loop[v]:
+            lo, hi = 2 * mx - s, min(s, p - 2 - s)
+        elif self.vertex_loop[v]:
             # The free edge is the self-loop: its value x enters twice.
-            lo = (s + 1) // 2
-            hi = (p - 2 - s) // 2
-        elif missing == 2:
-            return (2 * s <= p - 2, ())
+            lo, hi = (s + 1) // 2, (p - 2 - s) // 2
         else:
-            return (True, ())
-        if lo > hi:
-            return (False, ())
-        if lo == hi:
-            return (True, ((free, lo),))
-        return (True, ())
+            return ()
+        return ((free, lo),) if lo == hi else ()
 
     # -- depth-first search -------------------------------------------------
 
@@ -257,8 +256,8 @@ class _Problem:
                 values[e0] = x0
                 trail.append(e0)
                 for v in edge_vertices[e0]:
-                    ok, forced = status(v, values)
-                    if not ok:
+                    forced = status(v, values)
+                    if forced is None:
                         undo(mark)
                         return -1
                     queue.extend(forced)
@@ -343,6 +342,9 @@ def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
 
 _UNIT = ((), {(): 1})
 
+# A table spanning more variables than this draws a warning.
+MAX_TABLE_WIDTH = 8
+
 
 def _join(f, g, var):
     """The product of factors ``f`` and ``g`` with ``var`` summed out.
@@ -377,7 +379,7 @@ def _join(f, g, var):
     return tuple(scope[i] for i in kept) + tuple(g_scope[i] for i in fresh), summed
 
 
-def _eliminate(factors, keep, max_table_width):
+def _eliminate(factors, keep):
     """Sum out every variable not in ``keep``; returns the one factor left.
 
     An edge has at most two holders, so a third one, or a second factor
@@ -408,10 +410,9 @@ def _eliminate(factors, keep, max_table_width):
         f, g = [factors.pop(fid) for fid in sorted(touched)] + [_UNIT] * (2 - len(touched))
         scope, rows = _join(f, g, var)
         width = len(scope) + 1
-        if width > max_table_width:
+        if width > MAX_TABLE_WIDTH:
             warnings.warn(
-                f"contraction table spans {width} variables "
-                f"(bound {max_table_width})",
+                f"contraction table spans {width} variables (bound {MAX_TABLE_WIDTH})",
                 stacklevel=3,
             )
         fid = next(new_ids)
@@ -493,10 +494,7 @@ def _vertex_factors(problem: _Problem, triples, folded):
 
 
 def count_by_contraction(
-    m: MarkedSemiGraph,
-    query: EnumerationQuery,
-    by_exponent: bool = False,
-    max_table_width: int = 8,
+    m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
 ) -> CensusReport:
     """Exact count by variable elimination; independent of the backtracker."""
     problem = _Problem(m, query)
@@ -507,7 +505,7 @@ def count_by_contraction(
     # out in its vertex's table rather than by a join, and is in no scope.
     legs = {ei for ei, _ in problem.legs}
     factors = _vertex_factors(problem, _tripod_table(problem), set() if by_exponent else legs)
-    scope, table = _eliminate(factors, legs, max_table_width)
+    scope, table = _eliminate(factors, legs)
     total = sum(table.values())
     if not by_exponent:
         return CensusReport(total, "contraction")

@@ -307,8 +307,7 @@ def require_valid(m: MarkedSemiGraph) -> ValidationReport:
 
 def graph_type(m: MarkedSemiGraph) -> GraphType:
     """The pair (g, r); g is 1 - #vertices + #edges - #legs."""
-    require_valid(m)
-    return _type_of(m)
+    return require_valid(m).graph_type
 
 
 def betti(m: MarkedSemiGraph) -> int:
@@ -364,11 +363,11 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
     declaration order) that carries one; callers can detect this by
     comparing the first branch's incidence with the base they asked for.
     """
-    require_valid(m)
+    genus = require_valid(m).graph_type.g
     g = m.graph
     if base not in g.branches_at:
         raise ValueError(f"unknown vertex {base!r}")
-    if betti(m) == 0:
+    if genus == 0:
         return []
     for v0 in (base, *(v for v in g.vertices if v != base)):
         cycle = _simple_cycle_at(g, v0)
@@ -482,5 +481,14 @@ def dumps_graph(m: MarkedSemiGraph) -> str:
     return json.dumps(graph_to_json_obj(m), indent=2) + "\n"
 
 
+def parse_json(text: str):
+    """``json.loads``, with a document nested past the recursion limit
+    reported as malformed."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise StructureError("JSON document is nested too deeply") from None
+
+
 def loads_graph(text: str) -> MarkedSemiGraph:
-    return graph_from_json_obj(json.loads(text))
+    return graph_from_json_obj(parse_json(text))

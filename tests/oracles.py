@@ -2,10 +2,44 @@
 
 Everything here scans the raw assignment space directly off the graph
 structure, bypassing the predicates and both search engines, so that
-agreement is meaningful.  Only usable at desk scale.
+agreement is meaningful.  Only usable at desk scale.  ``random_graph``
+draws the test graphs these oracles are run on.
 """
 
 import itertools
+from operator import itemgetter
+
+from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, validate
+
+
+def random_graph(rng, max_vertices=5):
+    """A connected, stable 3-regular semi-graph on 1..max_vertices vertices.
+
+    Half-edges are paired at random, so self-loops and parallel edges
+    occur; the legs' open slots, the edge declaration order and the
+    marking are random too.  A draw that fails ``validate`` (disconnected
+    or unstable) is rejected and drawn again.  ``rng`` is a
+    ``random.Random``, so a seed fixes the graph.
+    """
+    n = rng.randint(1, max_vertices)
+    vertices = [f"v{i}" for i in range(n)]
+    while True:
+        stubs = [v for v in vertices for _ in range(3)]
+        rng.shuffle(stubs)
+        # 3n - r half-edges pair up, so the leg count r has the parity of n.
+        legs = rng.randrange(n % 2, 3 * n + 1, 2)
+        edges = []
+        for i in range(legs):
+            v = stubs.pop()
+            edges.append(Edge(f"l{i}", rng.choice([(v, OPEN), (OPEN, v)])))
+        while stubs:
+            edges.append(Edge(f"e{len(edges)}", (stubs.pop(), stubs.pop())))
+        rng.shuffle(edges)
+        marking = [e.id for e in edges if e.is_leg]
+        rng.shuffle(marking)
+        m = MarkedSemiGraph(SemiGraph(tuple(vertices), tuple(edges)), tuple(marking))
+        if validate(m).valid:
+            return m
 
 
 def star(p, m1, m2, m3):
@@ -16,17 +50,14 @@ def naive_balanced(m, p):
     """All edge-value maps passing the triangle-and-bound test at each vertex."""
     g = m.graph
     ids = [e.id for e in g.edges]
+    at = {eid: i for i, eid in enumerate(ids)}
+    allowed = {t for t in itertools.product(range(p), repeat=3) if star(p, *t)}
+    # Each vertex reads its three edge values off a combo.
+    vertices = [itemgetter(*[at[eid] for eid, _slot in g.branches_at[v]]) for v in g.vertices]
     solutions = []
     for combo in itertools.product(range(p), repeat=len(ids)):
-        values = dict(zip(ids, combo))
-        ok = True
-        for v in g.vertices:
-            ms = [values[eid] for eid, _slot in g.branches_at[v]]
-            if not star(p, *ms):
-                ok = False
-                break
-        if ok:
-            solutions.append(values)
+        if all(vertex(combo) in allowed for vertex in vertices):
+            solutions.append(dict(zip(ids, combo)))
     return solutions
 
 
@@ -34,22 +65,26 @@ def naive_strict(m, p):
     """All involution-paired branch maps, nonzero, vertex sums p + 1.
 
     Solutions come back as branch-value dicts keyed by (edge id, slot),
-    scanning slot-0 values 0..p-1 per edge in declaration order.
+    scanning slot-0 values 1..p-1 per edge in declaration order; the
+    slot-1 values p - x are then nonzero too.
     """
     g = m.graph
     ids = [e.id for e in g.edges]
+    at = {eid: i for i, eid in enumerate(ids)}
+    n = len(ids)
+    # Each vertex reads its three branch values off the combo followed by
+    # the slot-1 values p - x.
+    vertices = [
+        itemgetter(*[at[eid] + slot * n for eid, slot in g.branches_at[v]]) for v in g.vertices
+    ]
     solutions = []
-    for combo in itertools.product(range(p), repeat=len(ids)):
-        if 0 in combo:
-            continue
-        values = {}
-        for eid, x in zip(ids, combo):
-            values[(eid, 0)] = x
-            values[(eid, 1)] = p - x
-        ok = all(
-            sum(values[b] for b in g.branches_at[v]) == p + 1 for v in g.vertices
-        )
-        if ok:
+    for combo in itertools.product(range(1, p), repeat=n):
+        branch_values = combo + tuple([p - x for x in combo])
+        if all(sum(vertex(branch_values)) == p + 1 for vertex in vertices):
+            values = {}
+            for eid, x in zip(ids, combo):
+                values[(eid, 0)] = x
+                values[(eid, 1)] = p - x
             solutions.append(values)
     return solutions
 

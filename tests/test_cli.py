@@ -53,6 +53,17 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "count", "--p", "5", "--kind", "strict", "--builtin", "cycle:0")[0] == 2
     assert run(capsys, "verify", "figure", "--p", "7")[0] == 2
     assert run(capsys, "verify", "pp004", "--p", "5", "--builtin", "theta")[0] == 2
+    # A file that is not UTF-8, and JSON nested past the recursion limit,
+    # as a graph file and as the numbering file of miura.
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"vertices": ["\xe9"]}')
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for bad in (undecodable, deep):
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        code, out, err = run(capsys, "miura", str(bad), "--builtin", "tripod")
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_enumerate_stream(capsys):

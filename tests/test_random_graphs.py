@@ -1,0 +1,68 @@
+"""Both engines and the Miura map against the naive oracles on random graphs."""
+
+import random
+from collections import Counter
+
+import pytest
+
+import trivalent as tv
+from trivalent.search import EnumerationQuery, _Problem, count, count_by_contraction
+
+from oracles import (
+    naive_balanced,
+    naive_strict,
+    open_values_balanced,
+    open_values_strict,
+    random_graph,
+)
+
+# The oracles scan all p^E assignments; larger spaces are skipped.
+MAX_SPACE = 300_000
+PRIMES = (3, 5, 7)
+SEEDS = range(30)
+
+
+def _agree(m, p, kind, solutions, read_open):
+    """Engines against the oracle's solutions: totals, leg cells, each
+    cell counted under its own constraint, and the stream in order."""
+    cells = Counter(read_open(m, sol) for sol in solutions)
+    query = EnumerationQuery(p, kind)
+    for engine in (count, count_by_contraction):
+        assert engine(m, query).total == len(solutions)
+        assert engine(m, query, by_exponent=True).by_exponent == cells
+    for cell, n in sorted(cells.items())[:4]:
+        pinned = EnumerationQuery(p, kind, constraint=cell)
+        assert count(m, pinned).total == count_by_contraction(m, pinned).total == n
+    numberings = list(tv.enumerate_numberings(m, query))
+    assert [a.values for a in numberings] == solutions
+    if m.marking:
+        # A leg value outside the domain is turned away at setup: a strict
+        # exponent 0, a balanced radius (p - 1) / 2.
+        outside = (0 if kind == "strict" else (p - 1) // 2,) * len(m.marking)
+        pinned = EnumerationQuery(p, kind, constraint=outside)
+        assert not _Problem(m, pinned).feasible
+        assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
+    return numberings
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_graph_agreement(seed):
+    m = random_graph(random.Random(seed))
+    t = tv.graph_type(m)
+    checked = 0
+    for p in PRIMES:
+        if p ** len(m.graph.edges) > MAX_SPACE:
+            continue
+        checked += 1
+        balanced = naive_balanced(m, p)
+        _agree(m, p, "balanced", balanced, open_values_balanced)
+        strict = _agree(m, p, "strict", naive_strict(m, p), open_values_strict)
+        images = {tuple(sol.values()) for sol in balanced}
+        inner = [(eid, m.graph.edge(eid).inner_slot()) for eid in m.marking]
+        for a in strict:
+            # The vertex sums add up to the leg-sum identity.
+            assert sum(a.values[b] for b in inner) == t.r - (p - 2) * (t.g - 1)
+            image = tv.miura_transform(m, a)
+            assert tuple(image.values.values()) in images
+            assert tv.radii_of(m, image) == tuple(tv.mu_value(p, e) for e in tv.exponent_of(m, a))
+    assert checked

@@ -274,9 +274,20 @@ def test_by_exponent_with_no_legs_is_single_cell():
     assert report.to_json_obj()["by_exponent"] == {"": 5}
 
 
+def _closed(pairs):
+    """A closed 3-regular graph with one edge per vertex pair in ``pairs``."""
+    vertices = tuple(dict.fromkeys(v for pair in pairs for v in pair))
+    edges = tuple(Edge(f"{a}-{b}", (a, b)) for a, b in pairs)
+    return MarkedSemiGraph(SemiGraph(vertices, edges), ())
+
+
 def test_contraction_width_warning():
-    with pytest.warns(UserWarning, match="contraction table") as record:
-        count_by_contraction(tv.theta(), EnumerationQuery(5, "balanced"), max_table_width=1)
+    # The Moebius ladder of genus 8: a 14-cycle with chords vi-v(i+7).
+    cycle = [(f"v{i}", f"v{(i + 1) % 14}") for i in range(14)]
+    ladder = _closed(cycle + [(f"v{i}", f"v{i + 7}") for i in range(7)])
+    with pytest.warns(UserWarning, match="contraction table spans 9 variables") as record:
+        report = count_by_contraction(ladder, EnumerationQuery(5, "balanced"))
+    assert report.total == _sine_sum(8, 5) == 8125
     # The warning names the caller of count_by_contraction.
     assert record[0].filename == __file__
 
@@ -327,13 +338,6 @@ def test_balanced_genus_two_closed_form():
     # Genus 2 with no legs: (p^3 - p) / 24 balanced numberings.
     p = 101
     assert count_by_contraction(tv.theta(), EnumerationQuery(p, "balanced")).total == (p**3 - p) // 24
-
-
-def _closed(pairs):
-    """A closed 3-regular graph with one edge per vertex pair in ``pairs``."""
-    vertices = tuple(dict.fromkeys(v for pair in pairs for v in pair))
-    edges = tuple(Edge(f"{a}-{b}", (a, b)) for a, b in pairs)
-    return MarkedSemiGraph(SemiGraph(vertices, edges), ())
 
 
 # Closed graphs of genus 3 to 5, whose intermediate contraction tables

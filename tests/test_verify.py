@@ -1,8 +1,13 @@
+import json
+
 import pytest
 
 import trivalent as tv
 import trivalent.verify as verify_mod
+from trivalent.cli import main
+from trivalent.numbering import BranchNumbering
 from trivalent.search import CensusReport
+from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
 GENUS_ONE = [
     ("loop_with_leg", tv.loop_with_leg),
@@ -105,11 +110,9 @@ def test_structure_check_details():
     assert sorted(constants) == list(range(1, p))
 
 
-def test_off_loop_multiset():
-    # lollipop: self-loop at v0, stem to v1, two legs at v1; v1 is off the loop
-    from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
-
-    m = MarkedSemiGraph(
+def lollipop():
+    """A self-loop at v0, a stem to v1 and two legs at v1, which is off the loop."""
+    return MarkedSemiGraph(
         SemiGraph(
             ("v0", "v1"),
             (Edge("loop", ("v0", "v0")), Edge("mid", ("v0", "v1")),
@@ -117,6 +120,10 @@ def test_off_loop_multiset():
         ),
         ("x", "y"),
     )
+
+
+def test_off_loop_multiset():
+    m = lollipop()
     p = 11
     report = tv.verify_p048_structure(m, p)
     assert report.applicable and report.passed
@@ -124,3 +131,153 @@ def test_off_loop_multiset():
         ms = sorted(a.values[b] for b in m.graph.branches_at["v1"])
         assert ms == [1, 1, p - 1]
     assert tv.verify_p048(m, p).passed
+
+
+# One case per way a check can fail.  Each replaces names in
+# trivalent.verify so that one check fails, runs the statement through
+# the command line, and checks the witness it reports.
+
+real_enumerate = verify_mod.enumerate_numberings
+real_mu_value = verify_mod.mu_value
+
+
+def shifted(edge_id):
+    """enumerate_numberings with each slot-0 value x of ``edge_id`` moved
+    to x mod (p - 1) + 1, its partner following."""
+
+    def enumerate_numberings(m, query):
+        p = query.p
+        for a in real_enumerate(m, query):
+            vals = dict(a.values)
+            x = vals[(edge_id, 0)] % (p - 1) + 1
+            vals[(edge_id, 0)], vals[(edge_id, 1)] = x, p - x
+            yield BranchNumbering(p, vals)
+
+    return enumerate_numberings
+
+
+def twice(m, query):
+    for a in real_enumerate(m, query):
+        yield a
+        yield a
+
+
+THETA_NUMBERING = BranchNumbering(5, {(f"e{i}", s): 4 if s else 1 for i in (1, 2, 3) for s in (0, 1)})
+
+
+def figure_error(start):
+    def shape(w):
+        assert list(w[0]) == ["numbering"]
+        (rest,) = w[1:]
+        assert list(rest) == ["error"] and rest["error"].startswith(start)
+
+    return shape
+
+
+def all_entries(keys, check):
+    def shape(w):
+        assert w and all(list(entry) == keys and check(entry) for entry in w)
+
+    return shape
+
+
+FAILURES = {
+    "p048-genus2-numbering": (
+        {
+            "count_by_contraction": lambda m, q: CensusReport(1, "contraction"),
+            "enumerate_numberings": lambda m, q: iter([THETA_NUMBERING]),
+        },
+        ["p048", "--builtin", "theta", "--p", "5"],
+        lambda w: w == [tv.numbering_to_json_obj(tv.theta(), THETA_NUMBERING)],
+    ),
+    "p048-genus1-counts": (
+        {"count_by_contraction": lambda m, q: CensusReport(99, "contraction")},
+        ["p048", "--builtin", "loop_with_leg", "--p", "5"],
+        lambda w: w == [{"counts": {
+            "backtracking": 4, "contraction": 99, "constrained_backtracking": 4,
+            "constrained_contraction": 99, "expected": 4,
+        }}],
+    ),
+    "p048-exponent": (
+        {"exponent_of": lambda m, a: (0,)},
+        ["p048", "--builtin", "loop_with_leg", "--p", "5"],
+        all_entries(["exponent", "numbering"], lambda e: e["exponent"] == [0]),
+    ),
+    "structure-loop-constant": (
+        {"enumerate_numberings": shifted("c2")},
+        ["p048_structure", "--builtin", "cycle:2", "--p", "5"],
+        all_entries(
+            ["problems", "numbering"],
+            lambda e: e["problems"][0].startswith("loop branch ('c2', "),
+        ),
+    ),
+    "structure-off-loop": (
+        {"enumerate_numberings": shifted("mid")},
+        ["p048_structure", "LOLLIPOP", "--p", "5"],
+        all_entries(
+            ["problems", "numbering"], lambda e: e["problems"] == ["vertex v1 carries [1, 1, 3]"]
+        ),
+    ),
+    "structure-bijection": (
+        {"enumerate_numberings": twice},
+        ["p048_structure", "--builtin", "cycle:2", "--p", "5"],
+        lambda w: list(w[0]) == ["loop_constants"]
+        and sorted(w[0]["loop_constants"]) == [1, 1, 2, 2, 3, 3, 4, 4]
+        and len(w) == 1,
+    ),
+    "miura-unbalanced": (
+        {"is_balanced": lambda m, a: False},
+        ["miura", "--builtin", "loop_with_leg", "--p", "5"],
+        all_entries(["numbering", "error"], lambda e: e["error"] == "image is not balanced"),
+    ),
+    "miura-radii": (
+        {"mu_value": lambda p, m: real_mu_value(p, m) + 1},
+        ["miura", "--builtin", "loop_with_leg", "--p", "5"],
+        all_entries(["numbering", "error"], lambda e: e["error"] == "radii [0] != transformed exponent [1]"),
+    ),
+    "figure-involution": (
+        {"is_branch_numbering": lambda m, p, values: False},
+        ["figure"],
+        figure_error("involution fails"),
+    ),
+    "figure-strict": (
+        {"is_strict": lambda m, a: False},
+        ["figure"],
+        figure_error("numbering is not strict"),
+    ),
+    "figure-sums": (
+        {"sum": lambda values: 0},
+        ["figure"],
+        figure_error("vertex sums {'v1': 0, 'v2': 0, 'v3': 0}"),
+    ),
+    "figure-image": (
+        {"FIGURE_IMAGE": (0,) * 7},
+        ["figure"],
+        figure_error("image [0, 4, 4, 1, 3, 2, 1] != [0, 0, 0, 0, 0, 0, 0]"),
+    ),
+    "figure-balanced": (
+        {"is_balanced": lambda m, a: False},
+        ["figure"],
+        figure_error("image is not balanced"),
+    ),
+    "figure-radii": (
+        {"radii_of": lambda m, a: ()},
+        ["figure"],
+        figure_error("radii do not transform componentwise"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+def test_failed_check_reports_witness(case, monkeypatch, capsys, tmp_path):
+    patches, argv, shape = FAILURES[case]
+    for name, value in patches.items():
+        # ``sum`` is a builtin; it is shadowed in the module for one case.
+        monkeypatch.setattr(verify_mod, name, value, raising=name != "sum")
+    graph = tmp_path / "lollipop.json"
+    graph.write_text(tv.dumps_graph(lollipop()))
+    argv = [str(graph) if arg == "LOLLIPOP" else arg for arg in argv]
+    assert main(["verify", *argv]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] is False and report["applicable"] is True
+    shape(report["witness"])
