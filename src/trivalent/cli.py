@@ -64,8 +64,17 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
         raise StructureError(f"unknown builtin {name!r}")
     if args.graph is None:
         raise StructureError("a graph file or --builtin is required")
-    with open(args.graph, encoding="utf-8") as handle:
-        return semigraph.loads_graph(handle.read())
+    return semigraph.loads_graph(_read(args.graph))
+
+
+def _read(path: str) -> str:
+    """The text of a UTF-8 file.  A file that is not UTF-8 is malformed
+    input, and ``miura`` reads two files, so the error names this one."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise StructureError(f"{path}: {exc}") from None
 
 
 def _parse_constraint(raw: str | None):
@@ -131,8 +140,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_miura(args) -> int:
-    with open(args.numbering, encoding="utf-8") as handle:
-        numbering = loads_numbering(handle.read())
+    numbering = loads_numbering(_read(args.numbering))
     m = _load_graph(args)
     if not isinstance(numbering, BranchNumbering):
         raise ValueError("miura expects a strict branch-numbering file")
@@ -263,9 +271,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return PASS
-    except (StructureError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
-        # A file that is not UTF-8 is malformed input, though its decode
-        # error is a ValueError.
+    except (StructureError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return MALFORMED
     except ValueError as exc:  # InvalidGraphError included

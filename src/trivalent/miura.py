@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .numbering import (
     BranchNumbering,
     EdgeNumbering,
+    _built,
     _check_residue,
     balanced_triple,
     check_prime,
@@ -59,7 +60,7 @@ def miura_transform(m: MarkedSemiGraph, a: BranchNumbering) -> EdgeNumbering:
                 f"edge {e.id!r}: branch images disagree ({v0} vs {v1})"
             )
         out[e.id] = v0
-    return EdgeNumbering(a.p, out)
+    return _built(EdgeNumbering, a.p, out)
 
 
 def tripod_strict_set(p: int) -> list[tuple[tuple[int, int, int], bool]]:

@@ -18,6 +18,17 @@ the three values.
 Exponent vectors (for branch numberings) and radii vectors (for edge
 numberings) read the values on the open branches of the legs, in
 marking order.
+
+The public constructors, and ``loads_numbering`` through them, check a
+numbering in full: p prime, every key well formed, every value a
+residue, and (for branch numberings) the involution on each edge.  The
+numberings the search engine yields and the images ``miura_transform``
+returns are built by ``_built`` without that re-check, because they pass
+it by construction: their p was checked when the query or the input
+numbering was made, their keys are the graph's own edge ids, and their
+values come from the engine's domains (a strict x in 1..p-1 paired with
+p - x, a balanced value in 0..(p-3)/2) or from ``mu_value``, which lands
+in 0..(p-1)/2.
 """
 
 from __future__ import annotations
@@ -121,6 +132,16 @@ class EdgeNumbering:
                 raise ValueError(f"bad edge key {edge_id!r}")
             if m.__class__ is not int or not 0 <= m < p:
                 _check_residue(p, m)
+
+
+def _built(cls, p: int, values: dict):
+    """A ``cls`` numbering holding ``p`` and ``values`` as given, without
+    the ``__post_init__`` checks (see the module notes).  ``p`` must be a
+    checked prime and ``values`` a dict the caller hands over."""
+    a = object.__new__(cls)
+    object.__setattr__(a, "p", p)
+    object.__setattr__(a, "values", values)
+    return a
 
 
 def _no_branch(b: Branch) -> ValueError:

@@ -55,6 +55,7 @@ from .numbering import (
     BranchNumbering,
     EdgeNumbering,
     ExponentVector,
+    _built,
     check_prime,
 )
 from .semigraph import MarkedSemiGraph, StructureError, require_valid
@@ -309,8 +310,8 @@ class _Problem:
             for (k0, k1), x in zip(self.branch_keys, sol):
                 vals[k0] = x
                 vals[k1] = p - x
-            return BranchNumbering(p, vals)
-        return EdgeNumbering(self.p, dict(zip(self.edge_ids, sol)))
+            return _built(BranchNumbering, p, vals)
+        return _built(EdgeNumbering, self.p, dict(zip(self.edge_ids, sol)))
 
 
 def enumerate_numberings(

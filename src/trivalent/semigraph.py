@@ -14,7 +14,9 @@ with both branches open) is enforced at construction and raises
 ``StructureError``.  Semantic conditions (3-regularity, connectivity,
 marking completeness, stability) are soft checks reported by
 ``validate``; graphs failing them can still be built, inspected and
-serialized, but are rejected by enumeration entry points.
+serialized, but are rejected by enumeration entry points.  Those entry
+points read one report per marked graph, made on first use and kept on
+the object, so a graph serving many engine calls is checked once.
 """
 
 from __future__ import annotations
@@ -204,6 +206,12 @@ class MarkedSemiGraph:
             (edge_id, self.graph.edge(edge_id).open_slot()) for edge_id in self.marking
         )
 
+    @cached_property
+    def _validation(self) -> ValidationReport:
+        """``validate(self)``, run once: the graph and marking are frozen
+        tuples, so the report cannot change."""
+        return validate(self)
+
 
 @dataclass(frozen=True)
 class GraphType:
@@ -298,7 +306,7 @@ def validate(m: MarkedSemiGraph) -> ValidationReport:
 
 
 def require_valid(m: MarkedSemiGraph) -> ValidationReport:
-    report = validate(m)
+    report = m._validation
     if not report.valid:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise InvalidGraphError(f"graph fails checks: {failed}")

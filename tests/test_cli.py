@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -66,6 +67,20 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("bad", ("numbering", "graph"))
+def test_decode_error_names_the_file(tmp_path, capsys, bad):
+    # miura reads two files; the error says which one is not UTF-8.
+    m = tv.figure_tree()
+    files = {"numbering": tmp_path / "numbering.json", "graph": tmp_path / "graph.json"}
+    files["numbering"].write_text(tv.dumps_numbering(m, tv.figure_numbering()))
+    files["graph"].write_text(tv.dumps_graph(m))
+    files[bad].write_bytes(b'{"vertices": ["\xe9"]}')
+    code, out, err = run(capsys, "miura", str(files["numbering"]), str(files["graph"]))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {files[bad]}: 'utf-8' codec can't decode byte 0xe9")
+    assert err.count(str(tmp_path)) == 1
+
+
 def test_enumerate_stream(capsys):
     code, out, _ = run(
         capsys, "enumerate", "--p", "7", "--kind", "strict", "--builtin", "loop_with_leg"
@@ -83,6 +98,28 @@ def test_enumerate_stream(capsys):
     m = tv.loop_with_leg()
     for line in lines:
         assert tv.is_strict(m, tv.loads_numbering(line))
+
+
+# sha256 of the full ``enumerate`` output, as the benchmark's stream
+# workload also checks it.
+STREAM_DIGESTS = {
+    ("balanced", "cycle:3", 7): "265e05c849558b4e25ef1bf04c065a42250f31bc703b258cf7916cf3356648c1",
+    ("strict", "figure", 7): "43d4d2a960224dcd953ee90df58eec6f6602c6d49279c713bcb2eeaf444d9de1",
+    ("strict", "tripod", 13): "24d054b3a81ac023f2184c8d891ef81507491624f87407a1c4ba937cf40e484e",
+}
+
+
+@pytest.mark.parametrize("kind,graph,p", sorted(STREAM_DIGESTS))
+def test_enumerate_stream_bytes_are_frozen(tmp_path, capsys, kind, graph, p):
+    if graph == "figure":
+        path = tmp_path / "figure_tree.json"
+        path.write_text(tv.dumps_graph(tv.figure_tree()))
+        source = [str(path)]
+    else:
+        source = ["--builtin", graph]
+    code, out, err = run(capsys, "enumerate", "--kind", kind, "--p", str(p), *source)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[(kind, graph, p)]
 
 
 def test_enumerate_limit_is_prefix(capsys):

@@ -34,6 +34,14 @@ def _agree(m, p, kind, solutions, read_open):
         pinned = EnumerationQuery(p, kind, constraint=cell)
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == n
     numberings = list(tv.enumerate_numberings(m, query))
+    # The engine builds its numberings without the constructor's checks;
+    # each must pass them unchanged.
+    for a in numberings:
+        if kind == "strict":
+            assert tv.BranchNumbering(a.p, a.values) == a
+            assert tv.is_branch_numbering(m, p, a.values)
+        else:
+            assert tv.EdgeNumbering(a.p, a.values) == a
     assert [a.values for a in numberings] == solutions
     if m.marking:
         # A leg value outside the domain is turned away at setup: a strict
@@ -63,6 +71,7 @@ def test_random_graph_agreement(seed):
             # The vertex sums add up to the leg-sum identity.
             assert sum(a.values[b] for b in inner) == t.r - (p - 2) * (t.g - 1)
             image = tv.miura_transform(m, a)
+            assert tv.EdgeNumbering(p, image.values) == image
             assert tuple(image.values.values()) in images
             assert tv.radii_of(m, image) == tuple(tv.mu_value(p, e) for e in tv.exponent_of(m, a))
     assert checked

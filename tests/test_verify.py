@@ -3,6 +3,7 @@ import json
 import pytest
 
 import trivalent as tv
+import trivalent.semigraph as semigraph_mod
 import trivalent.verify as verify_mod
 from trivalent.cli import main
 from trivalent.numbering import BranchNumbering
@@ -65,6 +66,25 @@ def test_report_json_shape():
     assert obj["inputs"]["type"] == {"g": 1, "r": 1}
     assert obj["passed"] is True
     assert obj["witness"] == []
+
+
+def test_each_graph_is_validated_once(monkeypatch):
+    # Parsed from its file form, the graph has not been validated yet.
+    m = tv.loads_graph(tv.dumps_graph(tv.cycle_with_legs(3)))
+    calls = []
+    validate = semigraph_mod.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(semigraph_mod, "validate", counted)
+    assert tv.verify_p048(m, 5).passed
+    assert calls == [m]
+    # Later verifiers on the same graph read the same report.
+    assert tv.verify_p048_structure(m, 5).passed
+    assert tv.verify_miura(m, 5).passed
+    assert calls == [m]
 
 
 def test_failure_carries_witness(monkeypatch):
