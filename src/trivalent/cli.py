@@ -57,10 +57,12 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
         if name in BUILTINS:
             return BUILTINS[name]()
         if name.startswith("cycle:"):
-            try:
-                return semigraph.cycle_with_legs(int(name.split(":", 1)[1]))
-            except ValueError:  # not an integer, or below 1
-                raise StructureError(f"bad builtin {name!r}") from None
+            # int() would also take signs, spaces, underscores and
+            # non-ASCII digits.
+            n = name[len("cycle:"):]
+            if n.isascii() and n.isdigit() and int(n) >= 1:
+                return semigraph.cycle_with_legs(int(n))
+            raise StructureError(f"bad builtin {name!r}")
         raise StructureError(f"unknown builtin {name!r}")
     if args.graph is None:
         raise StructureError("a graph file or --builtin is required")

@@ -11,13 +11,31 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   ascending, and whenever a vertex determines its last free edge that
   value is propagated before further branching, so the stream is
   deterministic and lexicographic in the declared edge order.  Open
-  branch points live on an explicit stack of (edge, next domain
-  position, trail mark) frames, so the number of edges is not bounded
-  by Python's recursion limit.  A vertex is tested only after one of
-  its edges is assigned, and every value, forced ones included, lies in
-  the domain.  So a balanced vertex with a free edge always leaves that
-  edge some value: it can fail only once it is full, and before that it
-  forces the one free edge that has a single value left.
+  branch points live on an explicit stack of (edge, next value, top
+  value, trail mark) frames, so the number of edges is not bounded by
+  Python's recursion limit.  A vertex is tested only after one of its
+  edges is assigned, but not again for the value it forced, and every
+  value, forced ones included, lies in the domain.  So a balanced vertex
+  with a free edge always leaves that edge some value: it can fail only
+  once it is full, and before that it forces the one free edge that has
+  a single value left.
+
+  An edge is branched only over the values both its ends admit: the
+  intersection of one interval per end, clipped to the domain.  At a
+  strict end with k free terms, the edge's included, and remainder
+  ``need``, a slot-0 value lies in [need - (k-1)(p-1), need - (k-1)],
+  and a slot-1 value in that range under x -> p - x; a self-loop puts
+  no bound on x.  At a balanced end, the last free edge beside values
+  a and b lies in [|a - b|, min(a + b, p - 2 - a - b)], and a self-loop
+  beside a known s in [(s+1)//2, (p-2-s)//2].  Summing the strict
+  condition over all vertices, each internal edge adds x + (p - x) = p
+  and each leg its inner value, so the inner leg values add up to
+  r - (p-2)(g-1), each at least 1.  So a strict search at genus >= 2
+  returns before assigning anything, and at genus 1 it pins every inner
+  leg value to 1 after the seeds.  Both prunings drop only values the
+  first vertex test would reject, so the stream is unchanged.
+  ``count_by_contraction`` and the test oracles use neither, so they
+  still check the genus statements independently.
 
 * ``count_by_contraction`` never materializes solutions.  It lists the
   query's tripod table, the branch-value triples the vertex condition
@@ -117,7 +135,7 @@ class _Problem:
     """Shared setup: indexed edges, vertex incidences, domains, seeds."""
 
     def __init__(self, m: MarkedSemiGraph, query: EnumerationQuery):
-        require_valid(m)
+        self.genus = require_valid(m).graph_type.g
         self.p = query.p
         self.strict = query.kind == "strict"
         g = m.graph
@@ -227,11 +245,32 @@ class _Problem:
             return ()
         return ((free, lo),) if lo == hi else ()
 
+    def edge_ends(self) -> list[tuple]:
+        """Per edge, the ends that can bound its value, each with the terms
+        there besides the edge.  Strict: (slot, total, other terms) at each
+        end where the edge is no self-loop, the total being what the terms
+        add up to.  Balanced: the other edge indices, one at the vertex
+        whose self-loop the edge is, two elsewhere."""
+        ends: list[list] = [[] for _ in self.edges]
+        for v, terms in enumerate(self.vertex_terms):
+            for i, term in enumerate(terms):
+                others = terms[:i] + terms[i + 1:]
+                if self.strict:
+                    ei, slot = term
+                    ends[ei].append((slot, 1 if self.vertex_loop[v] else self.p + 1, others))
+                elif term not in terms[:i]:
+                    ends[term].append(tuple(e2 for e2 in others if e2 != term))
+        return [tuple(e) for e in ends]
+
     # -- depth-first search -------------------------------------------------
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
         """Complete assignments as value tuples in edge declaration order."""
-        if not self.feasible:
+        # Summed over all vertices, the strict condition gives inner leg
+        # values adding up to r - (p - 2)(g - 1), each at least 1: none
+        # exist at genus >= 2, and at genus 1 every one is 1, which is
+        # pinned after the seeds (a seed that disagrees ends the search).
+        if not self.feasible or (self.strict and self.genus >= 2):
             return
         n = len(self.edges)
         values: list[int | None] = [None] * n
@@ -246,9 +285,9 @@ class _Problem:
         def try_assign(ei: int, x: int) -> int:
             """Assign and propagate; trail mark on success, -1 on contradiction."""
             mark = len(trail)
-            queue = [(ei, x)]
+            queue = [(ei, x, -1)]
             while queue:
-                e0, x0 = queue.pop()
+                e0, x0, source = queue.pop()
                 if values[e0] is not None:
                     if values[e0] != x0:
                         undo(mark)
@@ -257,38 +296,93 @@ class _Problem:
                 values[e0] = x0
                 trail.append(e0)
                 for v in edge_vertices[e0]:
+                    # A forced value meets the vertex that forced it.
+                    if v == source:
+                        continue
                     forced = status(v, values)
                     if forced is None:
                         undo(mark)
                         return -1
-                    queue.extend(forced)
+                    for e1, x1 in forced:
+                        queue.append((e1, x1, v))
             return mark
 
         for ei, x in self.seeds.items():
             if try_assign(ei, x) < 0:
                 return
+        if self.strict and self.genus == 1:
+            pinned = self.read_legs((self.p - 1,) * len(self.legs))
+            for (ei, _), x in zip(self.legs, pinned):
+                if try_assign(ei, x) < 0:
+                    return
 
         def next_free(ei: int) -> int:
             while ei < n and values[ei] is not None:
                 ei += 1
             return ei
 
-        # Branch on the first free edge.  Every edge before it is assigned
-        # and stays so until its frame is popped, so the next free edge is
-        # searched from the one just branched on.  A frame is (edge, next
-        # domain position, trail mark of the value being explored).
-        domain = self.domain
-        size = len(domain)
+        # The values of a free edge that pass the vertex test at each of
+        # its ends, as an interval clipped to the domain.  A value outside
+        # it is exactly one that test rejects; propagation past the ends
+        # may still fail.
+        p = self.p
+        first, last = self.domain[0], self.domain[-1]
+        ends = self.edge_ends()
+        if self.strict:
+
+            def admitted(ei: int) -> tuple[int, int]:
+                lo, hi = first, last
+                for slot, need, others in ends[ei]:
+                    # k other free terms, each in 1..p-1, make up need - x.
+                    k = 0
+                    for e2, s2 in others:
+                        y = values[e2]
+                        if y is None:
+                            k += 1
+                        else:
+                            need -= p - y if s2 else y
+                    a, b = need - k * (p - 1), need - k
+                    if slot:
+                        a, b = p - b, p - a
+                    lo, hi = max(lo, a), min(hi, b)
+                return lo, hi
+
+        else:
+
+            def admitted(ei: int) -> tuple[int, int]:
+                # Only a full triple can fail, so an end bounds the edge
+                # once the other values there are known.
+                lo, hi = first, last
+                for others in ends[ei]:
+                    if len(others) == 1:  # ei is the self-loop: (x, x, s)
+                        s = values[others[0]]
+                        if s is None:
+                            continue
+                        a, b = (s + 1) // 2, (p - 2 - s) // 2
+                    else:
+                        c, d = values[others[0]], values[others[1]]
+                        if c is None or d is None:
+                            continue
+                        a, b = abs(c - d), min(c + d, p - 2 - c - d)
+                    lo, hi = max(lo, a), min(hi, b)
+                return lo, hi
+
+        # Branch on the first free edge, over the values its ends admit.
+        # Every edge before it is assigned and stays so until its frame is
+        # popped, so the next free edge is searched from the one just
+        # branched on.  A frame is (edge, next value, top value, trail mark
+        # of the value being explored); undoing to the mark restores the
+        # state the interval [next value, top] was read from.
         ei = next_free(0)
         if ei == n:
             yield tuple(values)
             return
-        pos = 0
-        stack: list[tuple[int, int, int]] = []
+        x, top = admitted(ei)
+        stack: list[tuple[int, int, int, int]] = []
         while True:
-            while pos < size:
-                mark = try_assign(ei, domain[pos])
-                pos += 1
+            while x <= top:
+                mark = try_assign(ei, x)
+                x += 1
                 if mark < 0:
                     continue
                 nxt = next_free(ei + 1)
@@ -296,11 +390,12 @@ class _Problem:
                     yield tuple(values)
                     undo(mark)
                 else:
-                    stack.append((ei, pos, mark))
-                    ei, pos = nxt, 0
+                    stack.append((ei, x, top, mark))
+                    ei = nxt
+                    x, top = admitted(ei)
             if not stack:
                 return
-            ei, pos, mark = stack.pop()
+            ei, x, top, mark = stack.pop()
             undo(mark)
 
     def to_numbering(self, sol) -> BranchNumbering | EdgeNumbering:

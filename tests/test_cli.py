@@ -44,6 +44,10 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
     assert run(capsys, "validate", str(tmp_path / "missing.json"))[0] == 2
     assert run(capsys, "validate", "--builtin", "octopus")[0] == 2
     assert run(capsys, "validate", "--builtin", "cycle:x")[0] == 2
+    # int() would read each of these as a cycle length.
+    for name in ("cycle:1_0", "cycle: 3", "cycle:+3", "cycle:٣"):
+        code, out, err = run(capsys, "validate", "--builtin", name)
+        assert (code, out, err) == (2, "", f"error: bad builtin {name!r}\n")
     assert run(capsys, "validate")[0] == 2
     path.write_text(tv.dumps_graph(tv.tripod()))
     assert run(capsys, "validate", str(path), "--builtin", "tripod")[0] == 2

@@ -407,3 +407,74 @@ def test_exhaustive_exponent_scan_matches_oracle():
         q = EnumerationQuery(p, "strict", constraint=combo)
         assert count(m, q).total == expected.get(combo, 0)
         assert count_by_contraction(m, q).total == expected.get(combo, 0)
+
+
+def _vertex_tests(monkeypatch):
+    """A list that gets one entry per vertex_status call, the call's result."""
+    results = []
+    status = _Problem.vertex_status
+
+    def counted(self, v, values):
+        result = status(self, v, values)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(_Problem, "vertex_status", counted)
+    return results
+
+
+DEAD_END_CASES = (
+    [("strict", name, p) for name in ("tripod", "figure_tree") for p in (5, 7, 11, 13)]
+    + [("balanced", "cycle3", 7), ("balanced", "cycle3", 11), ("balanced", "cycle5", 7)]
+    + [("strict", f"cycle{n}", 7) for n in range(1, 9)]
+)
+
+
+@pytest.mark.parametrize("kind,name,p", DEAD_END_CASES)
+def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
+    # Each edge is branched only over values its ends admit, and a strict
+    # genus-1 search pins its legs, so no vertex test rejects anything.
+    m = tv.cycle_with_legs(int(name[5:])) if name.startswith("cycle") else TABLE_BUILDERS[name]()
+    results = _vertex_tests(monkeypatch)
+    query = EnumerationQuery(p, kind)
+    n = sum(1 for _ in enumerate_numberings(m, query))
+    assert n == count_by_contraction(m, query).total > 0
+    assert results and results.count(None) == 0
+    # Nor do propagated values clash: every assignment is a pin or lies on
+    # the way to a numbering, E at most per numbering, and each tests at
+    # most two vertices.  Unpinned, strict cycle:4 at p=7 makes 178 tests.
+    edges = len(m.graph.edges)
+    assert len(results) <= 2 * edges * (n + 1)
+
+
+@pytest.mark.parametrize("name", ("theta", "dumbbell", "k4", "cube"))
+def test_strict_search_at_genus_two_assigns_nothing(monkeypatch, name):
+    m = CLOSED[name][1] if name in CLOSED else BUILDERS[name]()
+    assert tv.graph_type(m).g >= 2
+    results = _vertex_tests(monkeypatch)
+    for p in (5, 7, 11):
+        assert list(enumerate_numberings(m, EnumerationQuery(p, "strict"))) == []
+    assert results == []
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_genus_one_constraint_against_the_pin(p):
+    # Every genus-1 strict numbering reads p - 1 on each leg; a constraint
+    # asking for p - 2 contradicts the pinned legs.
+    m = tv.cycle_with_legs(3)
+    query = EnumerationQuery(p, "strict", constraint=(p - 2,) * 3)
+    assert count(m, query).total == count_by_contraction(m, query).total == 0
+    mixed = EnumerationQuery(p, "strict", constraint=(p - 1, p - 2, p - 1))
+    assert count(m, mixed).total == count_by_contraction(m, mixed).total == 0
+    pinned = EnumerationQuery(p, "strict", constraint=(p - 1,) * 3)
+    assert count(m, pinned).total == count_by_contraction(m, pinned).total == p - 1
+
+
+def test_long_strict_cycle_backtracking():
+    # The leg-sum identity pins all 1200 legs, so only the loop constant
+    # is branched on.
+    m = tv.cycle_with_legs(1200)
+    assert count(m, EnumerationQuery(5, "strict")).total == 4
+    for verify in (tv.verify_p048, tv.verify_p048_structure, tv.verify_miura):
+        report = verify(m, 5)
+        assert report.applicable and report.passed
