@@ -57,10 +57,8 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
         if name in BUILTINS:
             return BUILTINS[name]()
         if name.startswith("cycle:"):
-            # int() would also take signs, spaces, underscores and
-            # non-ASCII digits.
             n = name[len("cycle:"):]
-            if n.isascii() and n.isdigit() and int(n) >= 1:
+            if _is_integer(n) and int(n) >= 1:
                 return semigraph.cycle_with_legs(int(n))
             raise StructureError(f"bad builtin {name!r}")
         raise StructureError(f"unknown builtin {name!r}")
@@ -79,18 +77,29 @@ def _read(path: str) -> str:
             raise StructureError(f"{path}: {exc}") from None
 
 
+def _is_integer(text: str) -> bool:
+    """Whether ``text`` is ASCII digits after at most one '-'.  int() would
+    also take '+', spaces, underscores and non-ASCII digits."""
+    digits = text[1:] if text.startswith("-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _integer_arg(text: str) -> int:
+    """The argparse type of --p and --limit."""
+    if not _is_integer(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_constraint(raw: str | None):
     if raw is None:
         return None
-    raw = raw.strip()
     if not raw:
         return ()
-    try:
-        return tuple(int(part) for part in raw.split(","))
-    except ValueError:
-        raise StructureError(
-            f"--constraint must be comma-separated integers, got {raw!r}"
-        ) from None
+    parts = raw.split(",")
+    if not all(_is_integer(part) for part in parts):
+        raise StructureError(f"--constraint must be comma-separated integers, got {raw!r}")
+    return tuple(int(part) for part in parts)
 
 
 def _emit(obj):
@@ -218,15 +227,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_validate.set_defaults(func=cmd_validate)
 
     p_enum = add_command("enumerate", "stream numberings as JSON lines")
-    p_enum.add_argument("--p", type=int, required=True)
+    p_enum.add_argument("--p", type=_integer_arg, required=True)
     p_enum.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_enum.add_argument("--constraint", help="comma-separated exponents or radii")
-    p_enum.add_argument("--limit", type=int)
+    p_enum.add_argument("--limit", type=_integer_arg)
     add_graph_args(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_count = add_command("count", "count numberings")
-    p_count.add_argument("--p", type=int, required=True)
+    p_count.add_argument("--p", type=_integer_arg, required=True)
     p_count.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_count.add_argument("--by-exponent", action="store_true")
     p_count.add_argument(
@@ -244,7 +253,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_verify.add_argument(
         "theorem", choices=("pp004", "p048", "p048_structure", "miura", "figure")
     )
-    p_verify.add_argument("--p", type=int)
+    p_verify.add_argument("--p", type=_integer_arg)
     add_graph_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

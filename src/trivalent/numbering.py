@@ -257,7 +257,7 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
     if not isinstance(obj, dict):
         raise StructureError("numbering document must be a JSON object")
     p = obj.get("p")
-    if not isinstance(p, int):
+    if not isinstance(p, int) or isinstance(p, bool):
         raise StructureError("numbering document needs an integer p")
     kind = obj.get("kind")
     if kind == "balanced":

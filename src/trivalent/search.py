@@ -13,27 +13,26 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   deterministic and lexicographic in the declared edge order.  Open
   branch points live on an explicit stack of (edge, next value, top
   value, trail mark) frames, so the number of edges is not bounded by
-  Python's recursion limit.  A vertex is tested only after one of its
-  edges is assigned, but not again for the value it forced, and every
-  value, forced ones included, lies in the domain.  So a balanced vertex
-  with a free edge always leaves that edge some value: it can fail only
-  once it is full, and before that it forces the one free edge that has
-  a single value left.
+  Python's recursion limit.
 
-  An edge is branched only over the values both its ends admit: the
-  intersection of one interval per end, clipped to the domain.  At a
-  strict end with k free terms, the edge's included, and remainder
-  ``need``, a slot-0 value lies in [need - (k-1)(p-1), need - (k-1)],
-  and a slot-1 value in that range under x -> p - x; a self-loop puts
-  no bound on x.  At a balanced end, the last free edge beside values
-  a and b lies in [|a - b|, min(a + b, p - 2 - a - b)], and a self-loop
-  beside a known s in [(s+1)//2, (p-2-s)//2].  Summing the strict
-  condition over all vertices, each internal edge adds x + (p - x) = p
-  and each leg its inner value, so the inner leg values add up to
-  r - (p-2)(g-1), each at least 1.  So a strict search at genus >= 2
-  returns before assigning anything, and at genus 1 it pins every inner
-  leg value to 1 after the seeds.  Both prunings drop only values the
-  first vertex test would reject, so the stream is unchanged.
+  The search reads each kind's vertex condition in one place, its
+  window (``_Problem.strict_window``, ``_Problem.balanced_window``): at
+  an end of an edge, the interval of values the end's vertex admits on
+  that edge, given the values known so far.  A strict self-loop adds p
+  whatever its value, so it has no end.  The window does three jobs.
+  An edge is branched over the intersection of its ends' windows,
+  clipped to the domain.  A seeded, pinned or forced value is checked
+  against the window at each end but the one that forced it; a
+  branched value lies in every window of its edge already.  And a
+  vertex left with one free edge forces that edge's window when it is
+  a single value, and fails when it is empty.
+
+  Summing the strict condition over all vertices, each internal edge
+  adds x + (p - x) = p and each leg its inner value, so the inner leg
+  values add up to r - (p-2)(g-1), each at least 1.  So a strict search
+  at genus >= 2 returns before assigning anything, and at genus 1 it
+  pins every inner leg value to 1 after the seeds.  Neither the windows
+  nor the pin drop a numbering, so the stream is the full one.
   ``count_by_contraction`` and the test oracles use neither, so they
   still check the genus statements independently.
 
@@ -132,7 +131,8 @@ def _getter(positions):
 
 
 class _Problem:
-    """Shared setup: indexed edges, vertex incidences, domains, seeds."""
+    """Shared setup: indexed edges, vertex incidences, the backtracker's
+    edge ends, domains, seeds."""
 
     def __init__(self, m: MarkedSemiGraph, query: EnumerationQuery):
         self.genus = require_valid(m).graph_type.g
@@ -141,26 +141,37 @@ class _Problem:
         g = m.graph
         self.edges = list(g.edges)
         index = {e.id: i for i, e in enumerate(self.edges)}
-        at = {v: i for i, v in enumerate(g.vertices)}
         self.vertex_branches = [
             tuple((index[eid], slot) for eid, slot in g.branches_at[v]) for v in g.vertices
-        ]
-        self.edge_vertices = [
-            tuple(dict.fromkeys(at[end] for end in e.ends if end is not None))
-            for e in self.edges
-        ]
-        # The backtracker's terms: strict ones are branches and leave the
-        # self-loop out, since x and p - x always add up to p; balanced
-        # ones are edge indices, the self-loop listed twice.
-        loop = [e.is_loop for e in self.edges]
-        self.vertex_loop = [any(loop[ei] for ei, _ in bs) for bs in self.vertex_branches]
-        self.vertex_terms = [
-            tuple(b for b in bs if not loop[b[0]]) if self.strict else tuple(ei for ei, _ in bs)
-            for bs in self.vertex_branches
         ]
         self.edge_ids = [e.id for e in self.edges]
         self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
         self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
+
+        # The backtracker's graph form: per edge, one end per vertex whose
+        # condition reads it, as (vertex, rule, the (edge, rule) pairs of
+        # the vertex's other edges).  A rule is what the kind's window
+        # reads; ``rules`` holds a vertex's (edge, rule) pairs.
+        loop = [e.is_loop for e in self.edges]
+        self.ends: list[list[tuple]] = [[] for _ in self.edges]
+        for v, branches in enumerate(self.vertex_branches):
+            if self.strict:
+                # A self-loop's branches add up to p whatever its value, so
+                # it has no end and the vertex's one other branch reads 1.
+                terms = [b for b in branches if not loop[b[0]]]
+                total = self.p + 1 if len(terms) == 3 else 1
+                rules = [
+                    (ei, (slot, total, tuple(terms[:i] + terms[i + 1:])))
+                    for i, (ei, slot) in enumerate(terms)
+                ]
+            else:
+                # The other values of the triple, a self-loop's twice.
+                triple = [ei for ei, _ in branches]
+                rules = [
+                    (ei, tuple([e for e in triple if e != ei])) for ei in dict.fromkeys(triple)
+                ]
+            for i, (ei, rule) in enumerate(rules):
+                self.ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
 
         # Legs in marking order: (edge index, open slot).
         self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
@@ -189,78 +200,55 @@ class _Problem:
         p = self.p
         return tuple(p - x if s else x for x, (_, s) in zip(values, self.legs))
 
-    # -- vertex reasoning ---------------------------------------------------
+    # -- vertex windows -----------------------------------------------------
 
-    def vertex_status(self, v: int, values) -> tuple[tuple[int, int], ...] | None:
-        """The assignments a partially assigned vertex forces, or None when
-        it is violated.
+    def strict_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
+        """The part of lo..hi a strict vertex admits on an end's edge, given
+        ``values`` (an edge value or None per edge index).
 
-        ``v`` is a vertex index and ``values`` holds an edge value or None
-        per edge index; at least one edge of ``v`` is assigned.
+        ``rule`` is (slot, total, others): the edge's slot, what the terms
+        add up to and the other terms (edge index, slot).  With k free
+        others, each in 1..p-1, the edge's term lies in
+        [need - k(p-1), need - k], ``need`` being the total less the known
+        terms; a slot-1 term is p - x.
         """
         p = self.p
-        terms = self.vertex_terms[v]
-        if self.strict:
-            # A self-loop contributes x + (p - x) = p whatever x is.
-            need = 1 if self.vertex_loop[v] else p + 1
-            k = 0
-            for ei, slot in terms:
-                x = values[ei]
-                if x is None:
-                    k += 1
-                    free, free_slot = ei, slot
-                else:
-                    need -= p - x if slot else x
-            if not k:
-                return () if need == 0 else None
-            if not k <= need <= k * (p - 1):
-                return None
-            if k == 1:
-                return ((free, p - need if free_slot else need),)
-            return ()
-        # Balanced: with the known values' sum s and maximum mx, the
-        # triangle condition on a full triple is 2 * mx <= s.  Every value
-        # is at most (p - 3) / 2, so two known values a, b always leave the
-        # free one a nonempty range, |a - b| = 2 * mx - s up to
-        # min(a + b, p - 2 - a - b), and one known value never rules out
-        # its two free ones.
-        s = mx = missing = 0
-        for ei in terms:
-            x = values[ei]
-            if x is None:
-                missing += 1
-                free = ei
+        slot, need, others = rule
+        k = 0
+        for ej, s in others:
+            y = values[ej]
+            if y is None:
+                k += 1
             else:
-                s += x
-                if x > mx:
-                    mx = x
-        if not missing:
-            return () if 2 * mx <= s <= p - 2 else None
-        if missing == 1:
-            lo, hi = 2 * mx - s, min(s, p - 2 - s)
-        elif self.vertex_loop[v]:
-            # The free edge is the self-loop: its value x enters twice.
-            lo, hi = (s + 1) // 2, (p - 2 - s) // 2
-        else:
-            return ()
-        return ((free, lo),) if lo == hi else ()
+                need -= p - y if s else y
+        a, b = need - k * (p - 1), need - k
+        if slot:
+            a, b = p - b, p - a
+        return (a if a > lo else lo), (b if b < hi else hi)
 
-    def edge_ends(self) -> list[tuple]:
-        """Per edge, the ends that can bound its value, each with the terms
-        there besides the edge.  Strict: (slot, total, other terms) at each
-        end where the edge is no self-loop, the total being what the terms
-        add up to.  Balanced: the other edge indices, one at the vertex
-        whose self-loop the edge is, two elsewhere."""
-        ends: list[list] = [[] for _ in self.edges]
-        for v, terms in enumerate(self.vertex_terms):
-            for i, term in enumerate(terms):
-                others = terms[:i] + terms[i + 1:]
-                if self.strict:
-                    ei, slot = term
-                    ends[ei].append((slot, 1 if self.vertex_loop[v] else self.p + 1, others))
-                elif term not in terms[:i]:
-                    ends[term].append(tuple(e2 for e2 in others if e2 != term))
-        return [tuple(e) for e in ends]
+    def balanced_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
+        """The part of lo..hi a balanced vertex admits on an end's edge, given
+        ``values`` (an edge value or None per edge index).
+
+        ``rule`` holds the other values of the vertex's triple: one edge
+        when the edge is a self-loop, two otherwise.  Only a full triple
+        can fail: beside a and b the edge lies in
+        [|a - b|, min(a + b, p - 2 - a - b)], and as a self-loop beside s
+        in [(s+1)//2, (p-2-s)//2].  Every value is at most (p - 3) / 2, so
+        neither interval is ever empty.
+        """
+        p = self.p
+        if len(rule) == 1:
+            s = values[rule[0]]
+            if s is None:
+                return lo, hi
+            a, b = (s + 1) // 2, (p - 2 - s) // 2
+        else:
+            c, d = values[rule[0]], values[rule[1]]
+            if c is None or d is None:
+                return lo, hi
+            a, b = abs(c - d), min(c + d, p - 2 - c - d)
+        return (a if a > lo else lo), (b if b < hi else hi)
 
     # -- depth-first search -------------------------------------------------
 
@@ -275,15 +263,19 @@ class _Problem:
         n = len(self.edges)
         values: list[int | None] = [None] * n
         trail: list[int] = []
-        edge_vertices = self.edge_vertices
-        status = self.vertex_status
+        ends = self.ends
+        window = self.strict_window if self.strict else self.balanced_window
+        first, last = self.domain[0], self.domain[-1]
 
         def undo(mark: int):
             while len(trail) > mark:
                 values[trail.pop()] = None
 
-        def try_assign(ei: int, x: int) -> int:
-            """Assign and propagate; trail mark on success, -1 on contradiction."""
+        def try_assign(ei: int, x: int, check: bool = True) -> int:
+            """Assign and propagate; trail mark on success, -1 on contradiction.
+
+            ``check=False`` says ``x`` lies in every window of ``ei``, as a
+            branched value does."""
             mark = len(trail)
             queue = [(ei, x, -1)]
             while queue:
@@ -295,16 +287,32 @@ class _Problem:
                     continue
                 values[e0] = x0
                 trail.append(e0)
-                for v in edge_vertices[e0]:
-                    # A forced value meets the vertex that forced it.
+                for v, rule, others in ends[e0]:
+                    # A forced value lies in the window of the vertex that
+                    # forced it, and that vertex has no free edge left.
                     if v == source:
                         continue
-                    forced = status(v, values)
-                    if forced is None:
+                    # The vertex's one free other edge; () when two are.
+                    free = None
+                    for end in others:
+                        if values[end[0]] is None:
+                            free = end if free is None else ()
+                    if free:
+                        # The vertex admits x0 exactly when it leaves its
+                        # last free edge some value, so this window also
+                        # checks x0.
+                        e1, rule1 = free
+                        lo, hi = window(rule1, values, first, last)
+                        if lo == hi:
+                            queue.append((e1, lo, v))
+                    elif check:
+                        lo, hi = window(rule, values, x0, x0)
+                    else:
+                        continue
+                    if lo > hi:
                         undo(mark)
                         return -1
-                    for e1, x1 in forced:
-                        queue.append((e1, x1, v))
+                check = True  # every later value is forced
             return mark
 
         for ei, x in self.seeds.items():
@@ -321,58 +329,19 @@ class _Problem:
                 ei += 1
             return ei
 
-        # The values of a free edge that pass the vertex test at each of
-        # its ends, as an interval clipped to the domain.  A value outside
-        # it is exactly one that test rejects; propagation past the ends
-        # may still fail.
-        p = self.p
-        first, last = self.domain[0], self.domain[-1]
-        ends = self.edge_ends()
-        if self.strict:
+        def admitted(ei: int) -> tuple[int, int]:
+            """The interval every end of ``ei`` admits, within the domain."""
+            lo, hi = first, last
+            for _, rule, _ in ends[ei]:
+                lo, hi = window(rule, values, lo, hi)
+            return lo, hi
 
-            def admitted(ei: int) -> tuple[int, int]:
-                lo, hi = first, last
-                for slot, need, others in ends[ei]:
-                    # k other free terms, each in 1..p-1, make up need - x.
-                    k = 0
-                    for e2, s2 in others:
-                        y = values[e2]
-                        if y is None:
-                            k += 1
-                        else:
-                            need -= p - y if s2 else y
-                    a, b = need - k * (p - 1), need - k
-                    if slot:
-                        a, b = p - b, p - a
-                    lo, hi = max(lo, a), min(hi, b)
-                return lo, hi
-
-        else:
-
-            def admitted(ei: int) -> tuple[int, int]:
-                # Only a full triple can fail, so an end bounds the edge
-                # once the other values there are known.
-                lo, hi = first, last
-                for others in ends[ei]:
-                    if len(others) == 1:  # ei is the self-loop: (x, x, s)
-                        s = values[others[0]]
-                        if s is None:
-                            continue
-                        a, b = (s + 1) // 2, (p - 2 - s) // 2
-                    else:
-                        c, d = values[others[0]], values[others[1]]
-                        if c is None or d is None:
-                            continue
-                        a, b = abs(c - d), min(c + d, p - 2 - c - d)
-                    lo, hi = max(lo, a), min(hi, b)
-                return lo, hi
-
-        # Branch on the first free edge, over the values its ends admit.
-        # Every edge before it is assigned and stays so until its frame is
-        # popped, so the next free edge is searched from the one just
-        # branched on.  A frame is (edge, next value, top value, trail mark
-        # of the value being explored); undoing to the mark restores the
-        # state the interval [next value, top] was read from.
+        # Branch on the first free edge, over the values every end of it
+        # admits.  Every edge before it is assigned and stays so until its
+        # frame is popped, so the next free edge is searched from the one
+        # just branched on.  A frame is (edge, next value, top value, trail
+        # mark of the value being explored); undoing to the mark restores
+        # the state the interval [next value, top] was read from.
         ei = next_free(0)
         if ei == n:
             yield tuple(values)
@@ -381,7 +350,7 @@ class _Problem:
         stack: list[tuple[int, int, int, int]] = []
         while True:
             while x <= top:
-                mark = try_assign(ei, x)
+                mark = try_assign(ei, x, False)
                 x += 1
                 if mark < 0:
                     continue

@@ -69,6 +69,66 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         assert (code, out) == (2, "") and err.startswith("error: ")
         code, out, err = run(capsys, "miura", str(bad), "--builtin", "tripod")
         assert (code, out) == (2, "") and err.startswith("error: ")
+    # Integer arguments are ASCII digits, after one '-' at most; int()
+    # would take these, and ran them with exit 0.
+    for option, value in (("--p", "1_3"), ("--p", "٣"), ("--limit", "0_1"), ("--limit", " 1")):
+        argv = ["enumerate", "--p", "5", "--kind", "strict", "--builtin", "tripod"]
+        with pytest.raises(SystemExit) as info:
+            main(argv + [option, value])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+    for raw in ("٣,+3, 3", "3,3,3_0", "3,--3,3", "3,3,"):
+        code, out, err = run(capsys, "enumerate", "--p", "5", "--kind", "strict",
+                             "--builtin", "tripod", "--constraint", raw)
+        assert (code, out) == (2, "")
+        assert err == f"error: --constraint must be comma-separated integers, got {raw!r}\n"
+    code, out, err = run(capsys, "enumerate", "--p", "5", "--kind", "strict",
+                         "--builtin", "tripod", "--limit", "-1")
+    assert (code, out, err) == (2, "", "error: --limit must be nonnegative, got -1\n")
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--p", "abc", "--kind", "strict", "--builtin", "tripod"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --p: invalid int value: 'abc'\n")
+
+
+TRIPOD = {"vertices": ["v"], "marking": ["a", "b", "c"],
+          "edges": [{"id": leg, "ends": ["v", None]} for leg in "abc"]}
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("validate", [], "graph document must be a JSON object"),
+        ("validate", {"vertices": [], "edges": []}, "graph document is missing 'marking'"),
+        ("validate", {**TRIPOD, "vertices": "v"}, "vertices must be a list"),
+        ("validate", {**TRIPOD, "edges": {}}, "edges must be a list"),
+        ("validate", {**TRIPOD, "edges": [{"id": "a"}]}, "bad edge entry {'id': 'a'}"),
+        ("validate", {**TRIPOD, "edges": [{"id": "a", "ends": ["v"]}]},
+         "edge 'a' needs exactly two ends"),
+        ("validate", {**TRIPOD, "edges": [{"id": "a", "ends": ["v", 1]}]},
+         "bad incidence 1 on edge 'a'"),
+        ("validate", {**TRIPOD, "marking": "abc"}, "marking must be a list of edge ids"),
+        ("miura", [], "numbering document must be a JSON object"),
+        ("miura", {"kind": "strict", "branch_values": {}}, "numbering document needs an integer p"),
+        ("miura", {"p": "7", "kind": "strict", "branch_values": {}},
+         "numbering document needs an integer p"),
+        ("miura", {"p": 7.0, "kind": "strict", "branch_values": {}},
+         "numbering document needs an integer p"),
+        ("miura", {"p": True, "kind": "strict", "branch_values": {}},
+         "numbering document needs an integer p"),
+        ("miura", {"p": 7, "kind": "balanced", "edge_values": []},
+         "balanced numbering needs an edge_values object"),
+        ("miura", {"p": 7, "kind": "strict"}, "strict numbering needs a branch_values object"),
+        ("miura", {"p": 7, "kind": "strict", "branch_values": {"a.2": 1}}, "bad branch key 'a.2'"),
+        ("miura", {"p": 7, "kind": "dormant"}, "unknown numbering kind 'dormant'"),
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, capsys, command, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--builtin", "tripod"] if command == "miura" else [])
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("bad", ("numbering", "graph"))

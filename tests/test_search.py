@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -409,40 +410,62 @@ def test_exhaustive_exponent_scan_matches_oracle():
         assert count_by_contraction(m, q).total == expected.get(combo, 0)
 
 
-def _vertex_tests(monkeypatch):
-    """A list that gets one entry per vertex_status call, the call's result."""
+def _window_reads(monkeypatch):
+    """A list that gets one entry per vertex window the backtracker reads,
+    True when the window is empty: a checked value it rejects, a last free
+    edge it leaves no value, or a branching edge left with no value."""
     results = []
-    status = _Problem.vertex_status
+    for name in ("strict_window", "balanced_window"):
 
-    def counted(self, v, values):
-        result = status(self, v, values)
-        results.append(result)
-        return result
+        def counted(self, rule, values, lo, hi, window=getattr(_Problem, name)):
+            lo, hi = window(self, rule, values, lo, hi)
+            results.append(lo > hi)
+            return lo, hi
 
-    monkeypatch.setattr(_Problem, "vertex_status", counted)
+        monkeypatch.setattr(_Problem, name, counted)
     return results
+
+
+def _shuffled_cycle(n):
+    """``cycle_with_legs(n)`` with its edges in a fixed shuffled order, so
+    that branching does not walk the cycle from one end."""
+    m = tv.cycle_with_legs(n)
+    edges = list(m.graph.edges)
+    random.Random(0).shuffle(edges)
+    return MarkedSemiGraph(SemiGraph(m.graph.vertices, tuple(edges)), m.marking)
 
 
 DEAD_END_CASES = (
     [("strict", name, p) for name in ("tripod", "figure_tree") for p in (5, 7, 11, 13)]
     + [("balanced", "cycle3", 7), ("balanced", "cycle3", 11), ("balanced", "cycle5", 7)]
     + [("strict", f"cycle{n}", 7) for n in range(1, 9)]
+    + [("strict", f"shuffled{n}", p) for n in (8, 12, 16) for p in (5, 7)]
 )
 
 
 @pytest.mark.parametrize("kind,name,p", DEAD_END_CASES)
 def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
     # Each edge is branched only over values its ends admit, and a strict
-    # genus-1 search pins its legs, so no vertex test rejects anything.
-    m = tv.cycle_with_legs(int(name[5:])) if name.startswith("cycle") else TABLE_BUILDERS[name]()
-    results = _vertex_tests(monkeypatch)
+    # genus-1 search pins its legs, so no vertex window is ever empty.
+    if name.startswith("shuffled"):
+        m = _shuffled_cycle(int(name[8:]))
+    elif name.startswith("cycle"):
+        m = tv.cycle_with_legs(int(name[5:]))
+    else:
+        m = TABLE_BUILDERS[name]()
+    results = _window_reads(monkeypatch)
     query = EnumerationQuery(p, kind)
     n = sum(1 for _ in enumerate_numberings(m, query))
     assert n == count_by_contraction(m, query).total > 0
-    assert results and results.count(None) == 0
+    assert results and not any(results)
     # Nor do propagated values clash: every assignment is a pin or lies on
-    # the way to a numbering, E at most per numbering, and each tests at
-    # most two vertices.  Unpinned, strict cycle:4 at p=7 makes 178 tests.
+    # the way to a numbering, E at most per numbering.  An assignment reads
+    # at most one window at each of its two ends, and a branch point one
+    # per end of its edge.  Unpinned, strict cycle:4 at p=7 reads 257
+    # windows (bound 112).  Without forcing, the shuffled cycle:16 at p=7
+    # branches on its cycle edges in shuffled order, sees a clash only
+    # once a stretch of the cycle is full, and reads 394,254 windows
+    # (bound 448).
     edges = len(m.graph.edges)
     assert len(results) <= 2 * edges * (n + 1)
 
@@ -451,7 +474,7 @@ def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
 def test_strict_search_at_genus_two_assigns_nothing(monkeypatch, name):
     m = CLOSED[name][1] if name in CLOSED else BUILDERS[name]()
     assert tv.graph_type(m).g >= 2
-    results = _vertex_tests(monkeypatch)
+    results = _window_reads(monkeypatch)
     for p in (5, 7, 11):
         assert list(enumerate_numberings(m, EnumerationQuery(p, "strict"))) == []
     assert results == []
