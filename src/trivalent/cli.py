@@ -262,6 +262,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a token that starts with '-' as an option unless it
+    # is a plain negative number, so a constraint such as -1,-1,1 is
+    # joined to its option.
+    for i in range(len(argv) - 2, -1, -1):
+        value = argv[i + 1]
+        if argv[i] == "--constraint" and value.startswith("-") and _is_integer(value[:2]):
+            argv[i:i + 2] = [f"--constraint={value}"]
     parser, commands = build_parser()
     args, extra = parser.parse_known_args(argv)
     if extra:

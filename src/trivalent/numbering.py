@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 from typing import Mapping
 
@@ -44,7 +43,6 @@ from .semigraph import Branch, MarkedSemiGraph, SemiGraph, StructureError, parse
 ExponentVector = tuple[int, ...]
 
 
-@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -103,8 +101,7 @@ class BranchNumbering:
                 or key[1] not in (0, 1)
             ):
                 raise ValueError(f"bad branch key {key!r}")
-            if m.__class__ is not int or not 0 <= m < p:
-                _check_residue(p, m)
+            _check_residue(p, m)
         # Every key and residue is sound; now the involution, edges in order
         # of first appearance.
         for (edge_id, slot), m in vals.items():
@@ -130,8 +127,7 @@ class EdgeNumbering:
         for edge_id, m in vals.items():
             if not isinstance(edge_id, str):
                 raise ValueError(f"bad edge key {edge_id!r}")
-            if m.__class__ is not int or not 0 <= m < p:
-                _check_residue(p, m)
+            _check_residue(p, m)
 
 
 def _built(cls, p: int, values: dict):
@@ -253,6 +249,14 @@ def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering
     return {"p": a.p, "kind": "strict", "branch_values": values}
 
 
+def _integer_value(key: str, m) -> int:
+    """A document value, which must be a JSON integer; its range is
+    checked by the numbering constructors."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise StructureError(f"value of {key!r} must be an integer, got {m!r}")
+    return m
+
+
 def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
     if not isinstance(obj, dict):
         raise StructureError("numbering document must be a JSON object")
@@ -264,7 +268,7 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
         values = obj.get("edge_values")
         if not isinstance(values, dict):
             raise StructureError("balanced numbering needs an edge_values object")
-        return EdgeNumbering(p, values)
+        return EdgeNumbering(p, {key: _integer_value(key, m) for key, m in values.items()})
     if kind == "strict":
         values = obj.get("branch_values")
         if not isinstance(values, dict):
@@ -274,7 +278,7 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
             edge_id, _, slot = key.rpartition(".")
             if not edge_id or slot not in ("0", "1"):
                 raise StructureError(f"bad branch key {key!r}")
-            parsed[(edge_id, int(slot))] = m
+            parsed[(edge_id, int(slot))] = _integer_value(key, m)
         return BranchNumbering(p, parsed)
     raise StructureError(f"unknown numbering kind {kind!r}")
 

@@ -131,8 +131,7 @@ def _getter(positions):
 
 
 class _Problem:
-    """Shared setup: indexed edges, vertex incidences, the backtracker's
-    edge ends, domains, seeds."""
+    """Shared setup: indexed edges, vertex incidences, domains, seeds."""
 
     def __init__(self, m: MarkedSemiGraph, query: EnumerationQuery):
         self.genus = require_valid(m).graph_type.g
@@ -147,31 +146,6 @@ class _Problem:
         self.edge_ids = [e.id for e in self.edges]
         self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
         self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
-
-        # The backtracker's graph form: per edge, one end per vertex whose
-        # condition reads it, as (vertex, rule, the (edge, rule) pairs of
-        # the vertex's other edges).  A rule is what the kind's window
-        # reads; ``rules`` holds a vertex's (edge, rule) pairs.
-        loop = [e.is_loop for e in self.edges]
-        self.ends: list[list[tuple]] = [[] for _ in self.edges]
-        for v, branches in enumerate(self.vertex_branches):
-            if self.strict:
-                # A self-loop's branches add up to p whatever its value, so
-                # it has no end and the vertex's one other branch reads 1.
-                terms = [b for b in branches if not loop[b[0]]]
-                total = self.p + 1 if len(terms) == 3 else 1
-                rules = [
-                    (ei, (slot, total, tuple(terms[:i] + terms[i + 1:])))
-                    for i, (ei, slot) in enumerate(terms)
-                ]
-            else:
-                # The other values of the triple, a self-loop's twice.
-                triple = [ei for ei, _ in branches]
-                rules = [
-                    (ei, tuple([e for e in triple if e != ei])) for ei in dict.fromkeys(triple)
-                ]
-            for i, (ei, rule) in enumerate(rules):
-                self.ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
 
         # Legs in marking order: (edge index, open slot).
         self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
@@ -260,10 +234,32 @@ class _Problem:
         # pinned after the seeds (a seed that disagrees ends the search).
         if not self.feasible or (self.strict and self.genus >= 2):
             return
+        # The backtracker's graph form: per edge, one end per vertex whose
+        # condition reads it, as (vertex, rule, the (edge, rule) pairs of
+        # the vertex's other edges).  A rule is what the kind's window
+        # reads; ``rules`` holds a vertex's (edge, rule) pairs.
+        ends: list[list[tuple]] = [[] for _ in self.edges]
+        for v, branches in enumerate(self.vertex_branches):
+            if self.strict:
+                # A self-loop's branches add up to p whatever its value, so
+                # it has no end and the vertex's one other branch reads 1.
+                terms = [b for b in branches if not self.edges[b[0]].is_loop]
+                total = self.p + 1 if len(terms) == 3 else 1
+                rules = [
+                    (ei, (slot, total, tuple(terms[:i] + terms[i + 1:])))
+                    for i, (ei, slot) in enumerate(terms)
+                ]
+            else:
+                # The other values of the triple, a self-loop's twice.
+                triple = [ei for ei, _ in branches]
+                rules = [
+                    (ei, tuple([e for e in triple if e != ei])) for ei in dict.fromkeys(triple)
+                ]
+            for i, (ei, rule) in enumerate(rules):
+                ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
         n = len(self.edges)
         values: list[int | None] = [None] * n
         trail: list[int] = []
-        ends = self.ends
         window = self.strict_window if self.strict else self.balanced_window
         first, last = self.domain[0], self.domain[-1]
 

@@ -327,36 +327,33 @@ def betti(m: MarkedSemiGraph) -> int:
 
 
 def _simple_cycle_at(g: SemiGraph, v0: str) -> list[Branch] | None:
-    # Depth-first search over simple paths from v0 back to v0; branches
-    # are tried in declaration order so the result is deterministic.  The
-    # path grows and shrinks in place, with one frame per vertex on it, so
-    # long cycles need no recursion.
+    # An ordinary depth-first search from v0 for a branch leading back to
+    # v0; branches are tried in declaration order so the result is
+    # deterministic.  Each vertex is entered at most once, so a base costs
+    # O(V + E).  The path grows and shrinks in place, with one branch
+    # iterator per vertex on it, so long cycles need no recursion.  Every
+    # path edge but the first leads back to an entered vertex, so the one
+    # edge the walk must not reverse is the first.
     path: list[Branch] = []
-    used: set[str] = set()
-    visited = {v0}
-    frames = [(v0, iter(g.branches_at[v0]))]
+    entered = {v0}
+    frames = [iter(g.branches_at[v0])]
     while frames:
-        cur, branches = frames[-1]
-        for b in branches:
-            if b[0] in used:
-                continue
+        for b in frames[-1]:
             w = g.incidence(g.partner(b))
-            if w is OPEN:
-                continue
             if w == v0:
+                if path and b == g.partner(path[0]):
+                    continue
                 return path + [b]
-            if w in visited:
+            if w is OPEN or w in entered:
                 continue
             path.append(b)
-            used.add(b[0])
-            visited.add(w)
-            frames.append((w, iter(g.branches_at[w])))
+            entered.add(w)
+            frames.append(iter(g.branches_at[w]))
             break
         else:
             frames.pop()
             if path:
-                used.remove(path.pop()[0])
-                visited.remove(cur)
+                path.pop()
     return None
 
 
@@ -370,6 +367,13 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
     lies on no such walk the loop is based at the first vertex (in
     declaration order) that carries one; callers can detect this by
     comparing the first branch's incidence with the base they asked for.
+
+    Each candidate base is searched depth first, entering every vertex
+    at most once, so a base costs O(V + E).  The walk is the first
+    simple cycle through the base in branch declaration order, the one a
+    search over all simple paths returns: a vertex the search backs out
+    of can reach the base only through vertices still on the path, so no
+    later visit could close a loop there.
     """
     genus = require_valid(m).graph_type.g
     g = m.graph
@@ -388,9 +392,7 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
 # builders
 
 def _marked(vertices, edges, marking) -> MarkedSemiGraph:
-    m = MarkedSemiGraph(SemiGraph(tuple(vertices), tuple(edges)), tuple(marking))
-    require_valid(m)
-    return m
+    return MarkedSemiGraph(SemiGraph(tuple(vertices), tuple(edges)), tuple(marking))
 
 
 def tripod() -> MarkedSemiGraph:

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 import trivalent as tv
+import trivalent.cli as cli_mod
+import trivalent.semigraph as semigraph_mod
 from trivalent.cli import main
 
 
@@ -20,6 +22,21 @@ def test_validate_builtin(capsys):
     assert code == 0
     report = json.loads(out)
     assert report["valid"] and report["type"] == {"g": 0, "r": 3}
+
+
+def test_validate_builtin_validates_once(monkeypatch, capsys):
+    calls = []
+    validate = semigraph_mod.validate
+
+    def counted(graph):
+        calls.append(graph)
+        return validate(graph)
+
+    monkeypatch.setattr(semigraph_mod, "validate", counted)
+    monkeypatch.setattr(cli_mod, "validate", counted)
+    code, out, _ = run(capsys, "validate", "--builtin", "cycle:3")
+    assert code == 0 and json.loads(out)["type"] == {"g": 1, "r": 3}
+    assert len(calls) == 1
 
 
 def test_validate_failure_names_vertex(tmp_path, capsys):
@@ -122,6 +139,17 @@ TRIPOD = {"vertices": ["v"], "marking": ["a", "b", "c"],
         ("miura", {"p": 7, "kind": "strict"}, "strict numbering needs a branch_values object"),
         ("miura", {"p": 7, "kind": "strict", "branch_values": {"a.2": 1}}, "bad branch key 'a.2'"),
         ("miura", {"p": 7, "kind": "dormant"}, "unknown numbering kind 'dormant'"),
+    ]
+    # A numbering value must be a JSON integer, for either kind.
+    + [
+        ("miura", {"p": 7, "kind": "strict", "branch_values": {"a.0": 1, "a.1": value}},
+         f"value of 'a.1' must be an integer, got {value!r}")
+        for value in (True, 1.0, "1", None)
+    ]
+    + [
+        ("miura", {"p": 7, "kind": "balanced", "edge_values": {"a": 1, "b": value}},
+         f"value of 'b' must be an integer, got {value!r}")
+        for value in (True, 1.0, "1", None)
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, capsys, command, doc, message):
@@ -129,6 +157,14 @@ def test_malformed_documents_exit_2(tmp_path, capsys, command, doc, message):
     path.write_text(json.dumps(doc))
     argv = [command, str(path)] + (["--builtin", "tripod"] if command == "miura" else [])
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", (9, -1))
+def test_numbering_value_out_of_range_exits_1(tmp_path, capsys, value):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"p": 7, "kind": "strict", "branch_values": {"a.0": value}}))
+    code, out, err = run(capsys, "miura", str(path), "--builtin", "tripod")
+    assert (code, out, err) == (1, "", f"error: value {value} is not a residue in 0..6\n")
 
 
 @pytest.mark.parametrize("bad", ("numbering", "graph"))
@@ -221,6 +257,23 @@ def test_enumerate_constraint(capsys):
         "--builtin", "loop_with_leg",
     )
     assert code == 2 and "legs" in err
+    # A negative first entry is read as the constraint, not as an option,
+    # spaced or joined with '='.
+    line = (
+        '{"p": 7, "kind": "strict", "branch_values": '
+        '{"l1.0": 1, "l1.1": 6, "l2.0": 1, "l2.1": 6, "l3.0": 6, "l3.1": 1}}\n'
+    )
+    tripod = ["enumerate", "--builtin", "tripod", "--p", "7", "--kind", "strict"]
+    for constraint in (["--constraint", "-1,-1,1"], ["--constraint=-1,-1,1"],
+                       ["--constraint", "6,6,1"]):
+        assert run(capsys, *tripod, *constraint) == (0, line, "")
+    # A missing value still fails in argparse.
+    for constraint in (["--constraint"], ["--constraint", "--limit", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(tripod + constraint)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: argument --constraint: expected one argument\n")
     # An empty constraint is the empty vector: a graph with no legs keeps
     # every numbering.
     full = run(capsys, "enumerate", "--p", "7", "--kind", "balanced", "--builtin", "theta")[1]

@@ -17,6 +17,8 @@ BUILDERS = [
     ("cycle1", lambda: tv.cycle_with_legs(1), (1, 1)),
     ("cycle2", lambda: tv.cycle_with_legs(2), (1, 2)),
     ("cycle3", lambda: tv.cycle_with_legs(3), (1, 3)),
+    ("pendant_ladder3", lambda: pendant_ladder(3), (4, 2)),
+    ("bridged_ladder4", lambda: bridged_ladder(4), (6, 0)),
 ]
 
 
@@ -172,16 +174,73 @@ def complete_graph_k4():
     return MarkedSemiGraph(SemiGraph(names, tuple(edges)), ())
 
 
+def _ladder(k):
+    """A Mobius ladder on c0..c(2k-1): cycle edges c_i--c_(i+1 mod 2k) and
+    chords c_i--c_(i+k), with the edge c0--c1 subdivided by a vertex u."""
+    n = 2 * k
+    edges = [Edge("s0", ("c0", "u")), Edge("s1", ("u", "c1"))]
+    edges += [Edge(f"r{i}", (f"c{i}", f"c{(i + 1) % n}")) for i in range(1, n)]
+    edges += [Edge(f"h{i}", (f"c{i}", f"c{i + k}")) for i in range(k)]
+    return ("v0", "u") + tuple(f"c{i}" for i in range(n)), edges
+
+
+def pendant_ladder(k):
+    """The ladder with v0 joined to u and carrying two legs; type (k+1, 2).
+    v0 lies on no cycle, and every simple path from it runs into the
+    ladder."""
+    vertices, ladder = _ladder(k)
+    edges = [Edge("b", ("v0", "u")), Edge("x", ("v0", OPEN)), Edge("y", ("v0", OPEN))]
+    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges + ladder)), ("x", "y"))
+
+
+def bridged_ladder(k):
+    """The ladder with v0 joined to u and carrying a self-loop declared
+    after the bridge; type (k+2, 0)."""
+    vertices, ladder = _ladder(k)
+    edges = [Edge("b", ("v0", "u")), Edge("loop", ("v0", "v0"))]
+    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges + ladder)), ())
+
+
 @pytest.mark.parametrize(
     "build",
     [tv.tripod, tv.theta, tv.dumbbell, tv.loop_with_leg, tv.figure_tree, off_cycle_graph,
      complete_graph_k4]
-    + [pytest.param(lambda n=n: tv.cycle_with_legs(n), id=f"cycle{n}") for n in range(1, 9)],
+    + [pytest.param(lambda n=n: tv.cycle_with_legs(n), id=f"cycle{n}") for n in range(1, 9)]
+    + [
+        pytest.param(lambda k=k, b=b: b(k), id=f"{b.__name__}{k}")
+        for b in (pendant_ladder, bridged_ladder)
+        for k in range(3, 7)
+    ]
+    + [
+        pytest.param(lambda s=s: random_graph(random.Random(s), max_vertices=8), id=f"random{s}")
+        for s in range(200)
+    ],
 )
 def test_reduced_loop_matches_recursive_reference(build):
     m = build()
     for base in m.graph.vertices:
         assert tv.reduced_loop(m, base) == recursive_reduced_loop(m, base)
+
+
+@pytest.mark.parametrize("build", [pendant_ladder, bridged_ladder])
+def test_reduced_loop_enters_each_vertex_once(monkeypatch, build):
+    # From v0 the ladder is reached across a bridge; a search over simple
+    # paths walks every one of them, about 2^k, before it moves on.  Each
+    # vertex entered once reads each incidence a bounded number of times.
+    m = build(40)
+    budget = 4 * 2 * len(m.graph.edges)
+    calls = []
+    incidence = SemiGraph.incidence
+
+    def counted(self, b):
+        calls.append(b)
+        if len(calls) > budget:
+            raise AssertionError(f"more than {budget} incidence reads")
+        return incidence(self, b)
+
+    monkeypatch.setattr(SemiGraph, "incidence", counted)
+    walk = tv.reduced_loop(m, "v0")
+    walk_is_reduced(m.graph, walk)
 
 
 def test_reduced_loop_on_long_cycle():
