@@ -206,27 +206,22 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's own parser by name."""
+    """The top-level parser and each command's own parser by name."""
     parser = argparse.ArgumentParser(
         prog="trivalent",
         description="numberings of 3-regular semi-graphs and their Miura transform",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
-
-    def add_command(name, summary):
-        commands[name] = sub.add_parser(name, help=summary)
-        return commands[name]
 
     def add_graph_args(p):
         p.add_argument("graph", nargs="?", help="graph JSON file")
         p.add_argument("--builtin", help="tripod, theta, dumbbell, loop_with_leg, cycle:N")
 
-    p_validate = add_command("validate", "run the semantic checks")
+    p_validate = sub.add_parser("validate", help="run the semantic checks")
     add_graph_args(p_validate)
     p_validate.set_defaults(func=cmd_validate)
 
-    p_enum = add_command("enumerate", "stream numberings as JSON lines")
+    p_enum = sub.add_parser("enumerate", help="stream numberings as JSON lines")
     p_enum.add_argument("--p", type=_integer_arg, required=True)
     p_enum.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_enum.add_argument("--constraint", help="comma-separated exponents or radii")
@@ -234,7 +229,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_graph_args(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_count = add_command("count", "count numberings")
+    p_count = sub.add_parser("count", help="count numberings")
     p_count.add_argument("--p", type=_integer_arg, required=True)
     p_count.add_argument("--kind", choices=("strict", "balanced"), required=True)
     p_count.add_argument("--by-exponent", action="store_true")
@@ -244,12 +239,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_graph_args(p_count)
     p_count.set_defaults(func=cmd_count)
 
-    p_miura = add_command("miura", "transform a strict numbering")
+    p_miura = sub.add_parser("miura", help="transform a strict numbering")
     p_miura.add_argument("numbering", help="strict numbering JSON file")
     add_graph_args(p_miura)
     p_miura.set_defaults(func=cmd_miura)
 
-    p_verify = add_command("verify", "check one of the built-in statements")
+    p_verify = sub.add_parser("verify", help="check one of the built-in statements")
     p_verify.add_argument(
         "theorem", choices=("pp004", "p048", "p048_structure", "miura", "figure")
     )
@@ -257,7 +252,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_graph_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    return parser, commands
+    return parser, sub.choices
+
+
+PARSER, COMMANDS = build_parser()
 
 
 def main(argv=None) -> int:
@@ -269,16 +267,11 @@ def main(argv=None) -> int:
         value = argv[i + 1]
         if argv[i] == "--constraint" and value.startswith("-") and _is_integer(value[:2]):
             argv[i:i + 2] = [f"--constraint={value}"]
-    parser, commands = build_parser()
-    args, extra = parser.parse_known_args(argv)
-    if extra:
-        # The top-level parser hands a subcommand its positionals in one
-        # chunk, so a graph file after an option (``verify p048 --p 5
-        # tree.json``) is left over.  The subcommand's own parser takes
-        # options and positionals intermixed, and rejects true extras.
-        args = commands[args.command].parse_intermixed_args(
-            argv[1:], argparse.Namespace(command=args.command)
-        )
+    # A command's own parser reads the words after its name; PARSER, any other line.
+    if argv and argv[0] in COMMANDS:
+        args = COMMANDS[argv[0]].parse_intermixed_args(argv[1:])
+    else:
+        args = PARSER.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -357,6 +357,45 @@ def _simple_cycle_at(g: SemiGraph, v0: str) -> list[Branch] | None:
     return None
 
 
+def _cycle_vertices(g: SemiGraph, root: str) -> set[str]:
+    """The vertices of a connected graph that lie on a cycle: those with a
+    self-loop or an internal edge that is not a bridge.
+
+    One low-point depth-first search from ``root``, O(V + E): ``low[v]``
+    is the smallest entry number reachable from v's subtree by one edge
+    other than the one v was entered by, so the tree edge into v is a
+    bridge exactly when ``low[v]`` exceeds its parent's entry number.
+    Frames hold branch iterators, in declaration order, so nothing
+    recurses.
+    """
+    on_cycle: set[str] = set()
+    order = {root: 0}
+    low = {root: 0}
+    frames = [(root, None, iter(g.branches_at[root]))]
+    while frames:
+        v, entry, branches = frames[-1]
+        for b in branches:
+            w = g.incidence(g.partner(b))
+            if w == v:
+                on_cycle.add(v)
+            elif w is OPEN or b[0] == entry:
+                continue
+            elif w in order:
+                low[v] = min(low[v], order[w])
+            else:
+                order[w] = low[w] = len(order)
+                frames.append((w, b[0], iter(g.branches_at[w])))
+                break
+        else:
+            frames.pop()
+            if frames:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] <= order[u]:
+                    on_cycle.update((u, v))
+    return on_cycle
+
+
 def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
     """A closed non-backtracking branch walk, empty when the graph is a tree.
 
@@ -368,12 +407,13 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
     declaration order) that carries one; callers can detect this by
     comparing the first branch's incidence with the base they asked for.
 
-    Each candidate base is searched depth first, entering every vertex
-    at most once, so a base costs O(V + E).  The walk is the first
-    simple cycle through the base in branch declaration order, the one a
-    search over all simple paths returns: a vertex the search backs out
-    of can reach the base only through vertices still on the path, so no
-    later visit could close a loop there.
+    One pass marks the vertices that lie on a cycle, and the walk's base
+    is searched depth first, entering every vertex at most once, so the
+    whole call costs O(V + E).  The walk is the first simple cycle
+    through the base in branch declaration order, the one a search over
+    all simple paths returns: a vertex the search backs out of can reach
+    the base only through vertices still on the path, so no later visit
+    could close a loop there.
     """
     genus = require_valid(m).graph_type.g
     g = m.graph
@@ -381,11 +421,9 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
         raise ValueError(f"unknown vertex {base!r}")
     if genus == 0:
         return []
-    for v0 in (base, *(v for v in g.vertices if v != base)):
-        cycle = _simple_cycle_at(g, v0)
-        if cycle:
-            return cycle
-    raise AssertionError("positive betti number but no cycle found")
+    on_cycle = _cycle_vertices(g, base)
+    v0 = base if base in on_cycle else next(v for v in g.vertices if v in on_cycle)
+    return _simple_cycle_at(g, v0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -150,6 +151,15 @@ TRIPOD = {"vertices": ["v"], "marking": ["a", "b", "c"],
         ("miura", {"p": 7, "kind": "balanced", "edge_values": {"a": 1, "b": value}},
          f"value of 'b' must be an integer, got {value!r}")
         for value in (True, 1.0, "1", None)
+    ]
+    # Vertex and edge ids are checked by the graph constructors.
+    + [
+        ("validate", {**TRIPOD, "vertices": [""]}, "vertex id must be a nonempty string, got ''"),
+        ("validate", {**TRIPOD, "vertices": [5]}, "vertex id must be a nonempty string, got 5"),
+        ("validate", {**TRIPOD, "edges": [{"id": "", "ends": ["v", None]}]},
+         "edge id must be a nonempty string, got ''"),
+        ("validate", {**TRIPOD, "edges": [{"id": 7, "ends": ["v", None]}]},
+         "edge id must be a nonempty string, got 7"),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, capsys, command, doc, message):
@@ -402,6 +412,61 @@ def test_verify_graph_file_after_options(tmp_path, capsys, theorem):
             main(["verify", theorem, "--p", "5", str(path), "extra"])
         assert info.value.code == 2
         assert "unrecognized arguments: extra" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code", [([], 2), (["bogus"], 2), (["--help"], 0), (["count", "-h"], 0)]
+)
+def test_top_level_parser_answers(capsys, argv, code):
+    # Help goes to stdout, a usage error to stderr; argparse words the
+    # rest differently from one Python version to the next.
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+    captured = capsys.readouterr()
+    assert "usage: trivalent" in (captured.out if code == 0 else captured.err)
+
+
+def test_parsers_are_reused_unchanged(tmp_path, capsys):
+    # A usage error inside a command's parser, then that parser and
+    # another one, in one process: each prints what a fresh process does.
+    path = tmp_path / "tree.json"
+    path.write_text(tv.dumps_graph(tv.figure_tree()))
+    argvs = [
+        ["verify", "p048", "--p", "x", str(path)],
+        ["verify", "p048", "--p", "5", str(path)],
+        ["count", "--p", "7", "--kind", "strict", "--builtin", "loop_with_leg"],
+    ]
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "trivalent", *argv], capture_output=True, text=True
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["count", "--p", "7", "--kind", "strict", "--builtin", "loop_with_leg"],
+                 ["verify", "p048", "--p", "x"], ["bogus"],
+                 ["verify", "figure"]):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    assert built == []
 
 
 def test_verify_report_is_json(capsys):

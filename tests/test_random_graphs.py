@@ -1,5 +1,6 @@
 """Both engines and the Miura map against the naive oracles on random graphs."""
 
+import json
 import random
 from collections import Counter
 
@@ -43,6 +44,12 @@ def _agree(m, p, kind, solutions, read_open):
         else:
             assert tv.EdgeNumbering(a.p, a.values) == a
     assert [a.values for a in numberings] == solutions
+    # Each stream line reads back as its numbering, and the compiled line
+    # template writes what the dict writer does.
+    for a in numberings:
+        line = tv.dumps_numbering(m, a)
+        assert tv.loads_numbering(line) == a
+        assert json.dumps(tv.numbering_to_json_obj(m, a)) == line
     if m.marking:
         # A leg value outside the domain is turned away at setup: a strict
         # exponent 0, a balanced radius (p - 1) / 2.
@@ -56,6 +63,7 @@ def _agree(m, p, kind, solutions, read_open):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_graph_agreement(seed):
     m = random_graph(random.Random(seed))
+    assert tv.loads_graph(tv.dumps_graph(m)) == m
     t = tv.graph_type(m)
     checked = 0
     for p in PRIMES:

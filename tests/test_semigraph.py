@@ -19,6 +19,8 @@ BUILDERS = [
     ("cycle3", lambda: tv.cycle_with_legs(3), (1, 3)),
     ("pendant_ladder3", lambda: pendant_ladder(3), (4, 2)),
     ("bridged_ladder4", lambda: bridged_ladder(4), (6, 0)),
+    ("caterpillar4", lambda: caterpillar(4), (1, 4)),
+    ("barbell3", lambda: barbell(3), (2, 3)),
 ]
 
 
@@ -201,6 +203,32 @@ def bridged_ladder(k):
     return MarkedSemiGraph(SemiGraph(vertices, tuple(edges + ladder)), ())
 
 
+def caterpillar(n):
+    """A path t0..t(n-1) with two legs on t0, one on each inner vertex and
+    a self-loop on t(n-1); type (1, n).  Only the far end lies on a cycle."""
+    vertices = tuple(f"t{i}" for i in range(n))
+    edges = [Edge(f"p{i}", (f"t{i}", f"t{i + 1}")) for i in range(n - 1)]
+    edges += [Edge("x", ("t0", OPEN)), Edge("y", ("t0", OPEN))]
+    edges += [Edge(f"l{i}", (f"t{i}", OPEN)) for i in range(1, n - 1)]
+    edges.append(Edge("loop", (f"t{n - 1}", f"t{n - 1}")))
+    legs = ["x", "y"] + [f"l{i}" for i in range(1, n - 1)]
+    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges)), tuple(legs))
+
+
+def barbell(n):
+    """A path m1..mn with one leg each, declared first, whose ends are
+    joined to the vertices a and b, each carrying a self-loop; type (2, n).
+    No vertex of the path lies on a cycle, and none is a leaf, so
+    peeling leaves does not find the cycles."""
+    vertices = tuple(f"m{i}" for i in range(1, n + 1)) + ("a", "b")
+    edges = [Edge(f"p{i}", (f"m{i}", f"m{i + 1}")) for i in range(1, n)]
+    edges += [Edge(f"l{i}", (f"m{i}", OPEN)) for i in range(1, n + 1)]
+    edges += [Edge("ja", ("m1", "a")), Edge("jb", (f"m{n}", "b"))]
+    edges += [Edge("loopa", ("a", "a")), Edge("loopb", ("b", "b"))]
+    legs = [f"l{i}" for i in range(1, n + 1)]
+    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges)), tuple(legs))
+
+
 @pytest.mark.parametrize(
     "build",
     [tv.tripod, tv.theta, tv.dumbbell, tv.loop_with_leg, tv.figure_tree, off_cycle_graph,
@@ -210,6 +238,11 @@ def bridged_ladder(k):
         pytest.param(lambda k=k, b=b: b(k), id=f"{b.__name__}{k}")
         for b in (pendant_ladder, bridged_ladder)
         for k in range(3, 7)
+    ]
+    + [
+        pytest.param(lambda n=n, b=b: b(n), id=f"{b.__name__}{n}")
+        for b in (caterpillar, barbell)
+        for n in range(3, 7)
     ]
     + [
         pytest.param(lambda s=s: random_graph(random.Random(s), max_vertices=8), id=f"random{s}")
@@ -222,12 +255,22 @@ def test_reduced_loop_matches_recursive_reference(build):
         assert tv.reduced_loop(m, base) == recursive_reduced_loop(m, base)
 
 
-@pytest.mark.parametrize("build", [pendant_ladder, bridged_ladder])
-def test_reduced_loop_enters_each_vertex_once(monkeypatch, build):
+@pytest.mark.parametrize(
+    "build,size,base",
+    [
+        pytest.param(pendant_ladder, 40, "v0", id="pendant_ladder"),
+        pytest.param(bridged_ladder, 40, "v0", id="bridged_ladder"),
+        pytest.param(caterpillar, 2000, "t0", id="caterpillar"),
+        pytest.param(barbell, 2000, "m1", id="barbell"),
+    ],
+)
+def test_reduced_loop_enters_each_vertex_once(monkeypatch, build, size, base):
     # From v0 the ladder is reached across a bridge; a search over simple
-    # paths walks every one of them, about 2^k, before it moves on.  Each
-    # vertex entered once reads each incidence a bounded number of times.
-    m = build(40)
+    # paths walks every one of them, about 2^k, before it moves on.  On the
+    # caterpillar and the barbell the base and every vertex declared before
+    # a cycle lie on none, and a search from each in turn costs O(V) apiece.
+    # Each vertex entered once reads each incidence a bounded number of times.
+    m = build(size)
     budget = 4 * 2 * len(m.graph.edges)
     calls = []
     incidence = SemiGraph.incidence
@@ -239,7 +282,7 @@ def test_reduced_loop_enters_each_vertex_once(monkeypatch, build):
         return incidence(self, b)
 
     monkeypatch.setattr(SemiGraph, "incidence", counted)
-    walk = tv.reduced_loop(m, "v0")
+    walk = tv.reduced_loop(m, base)
     walk_is_reduced(m.graph, walk)
 
 
