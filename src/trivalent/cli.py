@@ -252,6 +252,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     add_graph_args(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
+    # parse_intermixed_args formats a parser's whole usage on each call
+    # unless ``usage`` is set; this is the string it would compute.
+    for command in sub.choices.values():
+        command.usage = command.format_usage().removeprefix("usage: ")
     return parser, sub.choices
 
 

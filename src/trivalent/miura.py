@@ -45,12 +45,17 @@ def mu_value(p: int, m: int) -> int:
 def miura_transform(m: MarkedSemiGraph, a: BranchNumbering) -> EdgeNumbering:
     """Image of a strict branch numbering, one value per edge.
 
-    Raises ValueError when a is not strict on m.  If a has exponent
-    vector e then the image has radii equal to the componentwise
-    mu_value of e.
+    Raises ValueError when a is not strict on m or numbers a branch that
+    m lacks.  If a has exponent vector e then the image has radii equal
+    to the componentwise mu_value of e.
     """
     if not is_strict(m, a):
         raise ValueError("miura_transform requires a strict branch numbering")
+    if len(a.values) != 2 * len(m.graph.edges):
+        # is_strict read every branch of the graph, so the others are foreign.
+        known = set(m.graph.branches())
+        extra = next(b for b in a.values if b not in known)
+        raise ValueError(f"numbering has a value for branch {extra!r}, which the graph lacks")
     out = {}
     for e in m.graph.edges:
         v0 = mu_value(a.p, a.values[(e.id, 0)])

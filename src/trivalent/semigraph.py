@@ -326,39 +326,9 @@ def betti(m: MarkedSemiGraph) -> int:
     return len(g.internal_edges()) - len(g.vertices) + 1
 
 
-def _simple_cycle_at(g: SemiGraph, v0: str) -> list[Branch] | None:
-    # An ordinary depth-first search from v0 for a branch leading back to
-    # v0; branches are tried in declaration order so the result is
-    # deterministic.  Each vertex is entered at most once, so a base costs
-    # O(V + E).  The path grows and shrinks in place, with one branch
-    # iterator per vertex on it, so long cycles need no recursion.  Every
-    # path edge but the first leads back to an entered vertex, so the one
-    # edge the walk must not reverse is the first.
-    path: list[Branch] = []
-    entered = {v0}
-    frames = [iter(g.branches_at[v0])]
-    while frames:
-        for b in frames[-1]:
-            w = g.incidence(g.partner(b))
-            if w == v0:
-                if path and b == g.partner(path[0]):
-                    continue
-                return path + [b]
-            if w is OPEN or w in entered:
-                continue
-            path.append(b)
-            entered.add(w)
-            frames.append(iter(g.branches_at[w]))
-            break
-        else:
-            frames.pop()
-            if path:
-                path.pop()
-    return None
-
-
-def _cycle_vertices(g: SemiGraph, root: str) -> set[str]:
-    """The vertices of a connected graph that lie on a cycle: those with a
+def _cycle_walk(g: SemiGraph, root: str) -> list[Branch] | set[str]:
+    """The first closed walk through ``root``, or, when none closes, the
+    vertices of the connected graph that lie on a cycle: those with a
     self-loop or an internal edge that is not a bridge.
 
     One low-point depth-first search from ``root``, O(V + E): ``low[v]``
@@ -366,29 +336,50 @@ def _cycle_vertices(g: SemiGraph, root: str) -> set[str]:
     other than the one v was entered by, so the tree edge into v is a
     bridge exactly when ``low[v]`` exceeds its parent's entry number.
     Frames hold branch iterators, in declaration order, so nothing
-    recurses.
+    recurses, and ``path`` holds the branches from ``root`` to the top
+    frame.
+
+    The search returns ``path`` plus the closing branch at the first
+    self-loop at ``root`` or the first edge back into it.  That is the
+    first simple cycle through ``root`` in declaration order, the one a
+    search over all simple paths returns.  The low points change neither
+    which vertex is entered nor when: the search tries branches in
+    declaration order, skips open branches and the edge it entered by,
+    and enters no vertex twice.  A vertex it backs out of can reach
+    ``root`` only through vertices still on the path, so no later visit
+    could close a loop there.  A root on a cycle always closes one: the
+    rest of its cycle lies in one subtree of the search, and the cycle's
+    second edge at ``root`` joins that subtree to ``root``.
     """
+    incidence, partner, at = g.incidence, g.partner, g.branches_at
     on_cycle: set[str] = set()
     order = {root: 0}
     low = {root: 0}
-    frames = [(root, None, iter(g.branches_at[root]))]
+    path: list[Branch] = []
+    frames = [(root, None, iter(at[root]))]
     while frames:
         v, entry, branches = frames[-1]
         for b in branches:
-            w = g.incidence(g.partner(b))
+            if b[0] == entry:
+                continue
+            w = incidence(partner(b))
+            if w == root:
+                return path + [b]
             if w == v:
                 on_cycle.add(v)
-            elif w is OPEN or b[0] == entry:
+            elif w is OPEN:
                 continue
             elif w in order:
                 low[v] = min(low[v], order[w])
             else:
                 order[w] = low[w] = len(order)
-                frames.append((w, b[0], iter(g.branches_at[w])))
+                path.append(b)
+                frames.append((w, b[0], iter(at[w])))
                 break
         else:
             frames.pop()
             if frames:
+                path.pop()
                 u = frames[-1][0]
                 low[u] = min(low[u], low[v])
                 if low[v] <= order[u]:
@@ -407,13 +398,12 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
     declaration order) that carries one; callers can detect this by
     comparing the first branch's incidence with the base they asked for.
 
-    One pass marks the vertices that lie on a cycle, and the walk's base
-    is searched depth first, entering every vertex at most once, so the
-    whole call costs O(V + E).  The walk is the first simple cycle
-    through the base in branch declaration order, the one a search over
-    all simple paths returns: a vertex the search backs out of can reach
-    the base only through vertices still on the path, so no later visit
-    could close a loop there.
+    The walk is the first simple cycle through its base in branch
+    declaration order, the one a search over all simple paths returns.
+    One depth-first pass from ``base`` finds it when ``base`` lies on a
+    cycle; otherwise that pass marks the vertices on a cycle and a
+    second pass starts at the first of them.  Each pass enters a vertex
+    at most once, so the whole call costs O(V + E).
     """
     genus = require_valid(m).graph_type.g
     g = m.graph
@@ -421,9 +411,10 @@ def reduced_loop(m: MarkedSemiGraph, base: str) -> list[Branch]:
         raise ValueError(f"unknown vertex {base!r}")
     if genus == 0:
         return []
-    on_cycle = _cycle_vertices(g, base)
-    v0 = base if base in on_cycle else next(v for v in g.vertices if v in on_cycle)
-    return _simple_cycle_at(g, v0)
+    found = _cycle_walk(g, base)
+    if isinstance(found, set):
+        found = _cycle_walk(g, next(v for v in g.vertices if v in found))
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from operator import itemgetter
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, validate
 
 
-def random_graph(rng, max_vertices=5):
-    """A connected, stable 3-regular semi-graph on 1..max_vertices vertices.
+def random_graph(rng, max_vertices=5, min_vertices=1):
+    """A connected, stable 3-regular semi-graph on min_vertices..max_vertices
+    vertices.
 
     Half-edges are paired at random, so self-loops and parallel edges
     occur; the legs' open slots, the edge declaration order and the
@@ -21,7 +22,7 @@ def random_graph(rng, max_vertices=5):
     or unstable) is rejected and drawn again.  ``rng`` is a
     ``random.Random``, so a seed fixes the graph.
     """
-    n = rng.randint(1, max_vertices)
+    n = rng.randint(min_vertices, max_vertices)
     vertices = [f"v{i}" for i in range(n)]
     while True:
         stubs = [v for v in vertices for _ in range(3)]

@@ -370,6 +370,15 @@ def test_miura_rejects_non_strict(tmp_path, capsys):
     assert code == 1 and "strict" in err
 
 
+def test_miura_rejects_foreign_branch(tmp_path, capsys):
+    path = tmp_path / "numbering.json"
+    values = {"loop.0": 2, "loop.1": 5, "leg.0": 1, "leg.1": 6, "zzz.0": 1, "zzz.1": 6}
+    path.write_text(json.dumps({"p": 7, "kind": "strict", "branch_values": values}))
+    code, out, err = run(capsys, "miura", str(path), "--builtin", "loop_with_leg")
+    assert (code, out) == (1, "")
+    assert err == "error: numbering has a value for branch ('zzz', 0), which the graph lacks\n"
+
+
 def test_miura_rejects_balanced_file(tmp_path, capsys):
     m = tv.tripod()
     path = tmp_path / "numbering.json"
@@ -467,6 +476,35 @@ def test_main_builds_no_parser(monkeypatch, capsys):
             pass
     capsys.readouterr()
     assert built == []
+
+
+def test_main_formats_no_usage(monkeypatch, capsys, tmp_path):
+    formatted = []
+    format_usage = argparse.ArgumentParser.format_usage
+
+    def counted(self):
+        formatted.append(self.prog)
+        return format_usage(self)
+
+    path = tmp_path / "graph.json"
+    path.write_text(tv.dumps_graph(tv.theta()))
+    monkeypatch.setattr(argparse.ArgumentParser, "format_usage", counted)
+    for argv in (["validate", "--builtin", "tripod"],
+                 ["enumerate", "--p", "5", "--kind", "balanced", "--builtin", "theta"],
+                 ["count", "--method", "contraction", "--kind", "balanced", "--p", "17",
+                  "--builtin", "cycle:3"],
+                 ["verify", "p048", "--p", "5", str(path)]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert formatted == []
+
+
+@pytest.mark.parametrize("command", sorted(cli_mod.COMMANDS))
+def test_command_usage_is_what_argparse_formats(monkeypatch, command):
+    parser = cli_mod.COMMANDS[command]
+    usage = parser.usage
+    monkeypatch.setattr(parser, "usage", None)
+    assert "usage: " + usage == parser.format_usage()
 
 
 def test_verify_report_is_json(capsys):

@@ -59,6 +59,14 @@ def test_miura_transform_rejects_non_strict():
         tv.miura_transform(m, BranchNumbering(7, values))
 
 
+def test_miura_transform_rejects_foreign_branch():
+    m = tv.loop_with_leg()
+    a = BranchNumbering(7, {("loop", 0): 2, ("loop", 1): 5, ("leg", 0): 1, ("leg", 1): 6,
+                            ("zzz", 0): 1, ("zzz", 1): 6})
+    with pytest.raises(ValueError, match=r"branch \('zzz', 0\), which the graph lacks"):
+        tv.miura_transform(m, a)
+
+
 def test_figure_fixture_values():
     m = tv.figure_tree()
     a = tv.figure_numbering()

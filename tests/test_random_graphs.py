@@ -1,4 +1,5 @@
-"""Both engines and the Miura map against the naive oracles on random graphs."""
+"""Both engines and the Miura map against the naive oracles on random graphs,
+and the two engines against each other on graphs too large for the oracles."""
 
 import json
 import random
@@ -21,6 +22,12 @@ from oracles import (
 MAX_SPACE = 300_000
 PRIMES = (3, 5, 7)
 SEEDS = range(30)
+# Graphs of 6-8 vertices: backtracking against contraction, at most
+# MAX_ENUMERATED numberings per query, cells too on at most MAX_CELL_LEGS legs.
+LARGE_SEEDS = range(1000, 1100)
+LARGE_PRIMES = (5, 7, 11)
+MAX_ENUMERATED = 5_000
+MAX_CELL_LEGS = 4
 
 
 def _agree(m, p, kind, solutions, read_open):
@@ -83,3 +90,19 @@ def test_random_graph_agreement(seed):
             assert tuple(image.values.values()) in images
             assert tv.radii_of(m, image) == tuple(tv.mu_value(p, e) for e in tv.exponent_of(m, a))
     assert checked
+
+
+@pytest.mark.parametrize("seed", LARGE_SEEDS)
+def test_random_large_graph_engines_agree(seed):
+    # The naive scan of p^E assignments is out of reach here, so the
+    # backtracker is checked against contraction, an independent engine.
+    m = random_graph(random.Random(seed), max_vertices=8, min_vertices=6)
+    by_exponent = len(m.marking) <= MAX_CELL_LEGS
+    for p in LARGE_PRIMES:
+        for kind in ("strict", "balanced"):
+            query = EnumerationQuery(p, kind)
+            expected = count_by_contraction(m, query, by_exponent=by_exponent)
+            if expected.total > MAX_ENUMERATED:
+                continue
+            report = count(m, query, by_exponent=by_exponent)
+            assert (report.total, report.by_exponent) == (expected.total, expected.by_exponent)

@@ -271,7 +271,33 @@ def test_reduced_loop_enters_each_vertex_once(monkeypatch, build, size, base):
     # a cycle lie on none, and a search from each in turn costs O(V) apiece.
     # Each vertex entered once reads each incidence a bounded number of times.
     m = build(size)
-    budget = 4 * 2 * len(m.graph.edges)
+    limit_incidence_reads(monkeypatch, 4 * 2 * len(m.graph.edges))
+    walk = tv.reduced_loop(m, base)
+    walk_is_reduced(m.graph, walk)
+
+
+@pytest.mark.parametrize(
+    "build,base",
+    [
+        pytest.param(lambda: tv.cycle_with_legs(2000), "v1", id="cycle2000"),
+        pytest.param(lambda: bridged_ladder(40), "u", id="bridged_ladder"),
+        pytest.param(tv.theta, "v1", id="theta"),
+    ],
+)
+def test_reduced_loop_on_cycle_base_is_one_pass(monkeypatch, build, base):
+    # A base on a cycle needs no pass that marks the cycle vertices first:
+    # the walk closes in the one pass, which reads each branch's far end
+    # at most once.
+    m = build()
+    limit_incidence_reads(monkeypatch, 2 * len(m.graph.edges))
+    walk = tv.reduced_loop(m, base)
+    monkeypatch.undo()
+    assert m.graph.incidence(walk[0]) == base
+    walk_is_reduced(m.graph, walk)
+
+
+def limit_incidence_reads(monkeypatch, budget):
+    """Make ``SemiGraph.incidence`` fail after ``budget`` reads."""
     calls = []
     incidence = SemiGraph.incidence
 
@@ -282,8 +308,6 @@ def test_reduced_loop_enters_each_vertex_once(monkeypatch, build, size, base):
         return incidence(self, b)
 
     monkeypatch.setattr(SemiGraph, "incidence", counted)
-    walk = tv.reduced_loop(m, base)
-    walk_is_reduced(m.graph, walk)
 
 
 def test_reduced_loop_on_long_cycle():
