@@ -20,15 +20,15 @@ numberings) read the values on the open branches of the legs, in
 marking order.
 
 The public constructors, and ``loads_numbering`` through them, check a
-numbering in full: p prime, every key well formed, every value a
-residue, and (for branch numberings) the involution on each edge.  The
-numberings the search engine yields and the images ``miura_transform``
-returns are built by ``_built`` without that re-check, because they pass
-it by construction: their p was checked when the query or the input
-numbering was made, their keys are the graph's own edge ids, and their
-values come from the engine's domains (a strict x in 1..p-1 paired with
-p - x, a balanced value in 0..(p-3)/2) or from ``mu_value``, which lands
-in 0..(p-1)/2.
+numbering in full: p a prime below 2**64, every key well formed, every
+value a residue, and (for branch numberings) the involution on each
+edge.  The numberings the search engine yields and the images
+``miura_transform`` returns are built by ``_built`` without that
+re-check, because they pass it by construction: their p was checked
+when the query or the input numbering was made, their keys are the
+graph's own edge ids, and their values come from the engine's domains
+(a strict x in 1..p-1 paired with p - x, a balanced value in
+0..(p-3)/2) or from ``mu_value``, which lands in 0..(p-1)/2.
 """
 
 from __future__ import annotations
@@ -43,22 +43,44 @@ from .semigraph import Branch, MarkedSemiGraph, SemiGraph, StructureError, parse
 ExponentVector = tuple[int, ...]
 
 
+# Miller-Rabin to these bases is exact below 2**64; the first number they
+# pass wrongly is 318665857834031151167461.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Primality of 0 <= n < 2**64.  Division by the bases settles every
+    n < 41**2, which keeps small p as cheap as trial division; a
+    deterministic Miller-Rabin test to the same bases settles the rest."""
+    for q in _BASES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
+        return n > 1
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 def check_prime(p) -> int:
-    """Validate p as an odd prime > 2; returns p."""
-    if not isinstance(p, int) or isinstance(p, bool) or p <= 2 or not _is_prime(p):
-        raise ValueError(f"p must be a prime greater than 2, got {p!r}")
-    return p
+    """Validate p as an odd prime > 2 and below 2**64; returns p."""
+    if isinstance(p, int) and not isinstance(p, bool) and p > 2:
+        if p >= 1 << 64:
+            raise ValueError(f"p must be below 2**64, got {p!r}")
+        if _is_prime(p):
+            return p
+    raise ValueError(f"p must be a prime greater than 2, got {p!r}")
 
 
 def _check_residue(p: int, m) -> int:
@@ -140,8 +162,11 @@ def _built(cls, p: int, values: dict):
     return a
 
 
-def _no_branch(b: Branch) -> ValueError:
-    return ValueError(f"numbering has no value for branch {b!r}")
+def _no_value(key) -> ValueError:
+    """The error for a numbering that lacks ``key``: a branch (edge id,
+    slot) pair or an edge id."""
+    what = "branch" if isinstance(key, tuple) else "edge"
+    return ValueError(f"numbering has no value for {what} {key!r}")
 
 
 def is_branch_numbering(m: MarkedSemiGraph, p: int, assignment: Mapping[Branch, int]) -> bool:
@@ -168,11 +193,11 @@ def is_strict(m: MarkedSemiGraph, a: BranchNumbering) -> bool:
     g = m.graph
     vals = a.values
     try:
-        for _label, b in g.branch_labels:
-            if vals[b] == 0:
+        for e in g.edges:
+            if vals[(e.id, 0)] == 0 or vals[(e.id, 1)] == 0:
                 return False
     except KeyError as missing:
-        raise _no_branch(missing.args[0]) from None
+        raise _no_value(missing.args[0]) from None
     # Every branch of the graph is present from here on.
     total = a.p + 1
     for branches in g.branches_at.values():
@@ -186,7 +211,7 @@ def is_balanced(m: MarkedSemiGraph, a: EdgeNumbering) -> bool:
     g = m.graph
     for e in g.edges:
         if e.id not in a.values:
-            raise ValueError(f"numbering has no value for edge {e.id!r}")
+            raise _no_value(e.id)
     for v in g.vertices:
         ms = [a.values[b[0]] for b in g.branches_at[v]]
         if not balanced_triple(a.p, *ms):
@@ -200,7 +225,7 @@ def exponent_of(m: MarkedSemiGraph, a: BranchNumbering) -> ExponentVector:
     try:
         return tuple([vals[b] for b in m.marked_branches()])
     except KeyError as missing:
-        raise _no_branch(missing.args[0]) from None
+        raise _no_value(missing.args[0]) from None
 
 
 def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
@@ -208,7 +233,7 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
     out = []
     for edge_id in m.marking:
         if edge_id not in a.values:
-            raise ValueError(f"numbering has no value for edge {edge_id!r}")
+            raise _no_value(edge_id)
         out.append(a.values[edge_id])
     return tuple(out)
 
@@ -221,32 +246,28 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 #
 # Branch keys are "<edge id>.<slot>".  Canonical output orders values by
 # the graph's edge declaration order (slot 0 before slot 1), one line
-# per numbering, so streams re-serialize byte-identically.
+# per numbering, so streams re-serialize byte-identically.  A value the
+# numbering holds for a branch or edge the graph lacks is not written.
 #
-# Keys, their order and their JSON escaping are fixed per graph, so
-# ``dumps_numbering`` fills a line template compiled once per graph and
-# kind: a %-format string such as
+# Keys, their order and their JSON escaping are fixed per graph, so both
+# encoders read one layout per graph and kind, compiled once and stored
+# on the graph (``SemiGraph.numbering_lines``): the kind, its values
+# field, the labels, a %-format line template such as
 # '{"p": %d, "kind": "strict", "branch_values": {"e1.0": %d, ...}}',
 # whose labels are escaped by ``json.dumps`` with any "%" doubled, and
-# an ``itemgetter`` reading the values in that order.  Both are stored
-# on the graph (``SemiGraph.numbering_lines``), so a line costs one
-# getter call and one %-format.  ``numbering_to_json_obj`` builds the
-# same line as a dict; it serves every other caller and the error path.
+# an ``itemgetter`` reading the values in label order.
+# ``dumps_numbering`` fills the template, so a line costs one getter call
+# and one %-format; ``numbering_to_json_obj`` zips the labels with the
+# same values into a dict.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:
-    if isinstance(a, EdgeNumbering):
-        values = {}
-        for e in m.graph.edges:
-            if e.id not in a.values:
-                raise ValueError(f"numbering has no value for edge {e.id!r}")
-            values[e.id] = a.values[e.id]
-        return {"p": a.p, "kind": "balanced", "edge_values": values}
-    vals = a.values
+    strict, balanced = m.graph.numbering_lines
+    kind, field, labels, _template, get = balanced if isinstance(a, EdgeNumbering) else strict
     try:
-        values = {label: vals[b] for label, b in m.graph.branch_labels}
+        values = get(a.values)
     except KeyError as missing:
-        raise _no_branch(missing.args[0]) from None
-    return {"p": a.p, "kind": "strict", "branch_values": values}
+        raise _no_value(missing.args[0]) from None
+    return {"p": a.p, "kind": kind, field: dict(zip(labels, values))}
 
 
 def _integer_value(key: str, m) -> int:
@@ -283,38 +304,33 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
     raise StructureError(f"unknown numbering kind {kind!r}")
 
 
-def _line(kind: str, field: str, labels, keys):
-    """The %-format template of one numbering line and the getter of its values."""
+def _line(kind: str, field: str, labels: list[str], keys: list):
+    """The layout of one kind of numbering line; see the serialization notes."""
     entries = ", ".join(json.dumps(label).replace("%", "%%") + ": %d" for label in labels)
     template = f'{{"p": %d, "kind": "{kind}", "{field}": {{{entries}}}}}'
-    if len(keys) > 1:
-        return template, itemgetter(*keys)
     # itemgetter of one key returns a bare value, and of none cannot be built.
-    return template, lambda values: tuple([values[k] for k in keys])
+    get = itemgetter(*keys) if len(keys) > 1 else lambda values: tuple([values[k] for k in keys])
+    return kind, field, labels, template, get
 
 
 def compile_numbering_lines(g: SemiGraph):
-    """(strict, balanced) line forms of g; see the serialization notes above."""
+    """(strict, balanced) layouts of g: each is (kind, field, labels,
+    template, getter); see the serialization notes above."""
+    branches = list(g.branches())
     edge_ids = [e.id for e in g.edges]
     return (
-        _line(
-            "strict",
-            "branch_values",
-            [label for label, _ in g.branch_labels],
-            [b for _, b in g.branch_labels],
-        ),
+        _line("strict", "branch_values", [f"{e}.{slot}" for e, slot in branches], branches),
         _line("balanced", "edge_values", edge_ids, edge_ids),
     )
 
 
 def dumps_numbering(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> str:
     strict, balanced = m.graph.numbering_lines
-    template, get = balanced if isinstance(a, EdgeNumbering) else strict
+    _kind, _field, _labels, template, get = balanced if isinstance(a, EdgeNumbering) else strict
     try:
         return template % ((a.p,) + get(a.values))
-    except KeyError:
-        # A missing branch or edge: raise the message numbering_to_json_obj gives.
-        return json.dumps(numbering_to_json_obj(m, a))
+    except KeyError as missing:
+        raise _no_value(missing.args[0]) from None
 
 
 def loads_numbering(text: str) -> BranchNumbering | EdgeNumbering:

@@ -118,15 +118,13 @@ class SemiGraph:
             yield (e.id, 1)
 
     @cached_property
-    def branch_labels(self) -> tuple[tuple[str, Branch], ...]:
-        """("<edge id>.<slot>", branch) for every branch, in ``branches()`` order."""
-        return tuple((f"{b[0]}.{b[1]}", b) for b in self.branches())
-
-    @cached_property
     def numbering_lines(self):
-        """The compiled JSON line of a strict and of a balanced numbering.
+        """The JSON layout of a strict and of a balanced numbering on this graph.
 
-        Built once per graph for ``numbering.dumps_numbering``.
+        Built once per graph by ``numbering.compile_numbering_lines``; both
+        ``numbering.dumps_numbering`` and ``numbering.numbering_to_json_obj``
+        read it.  It is kept on the graph because a cache keyed by the graph
+        would hash every edge on every line.
         """
         from .numbering import compile_numbering_lines  # numbering imports this module
 

@@ -69,6 +69,8 @@ class TheoremReport:
 
 
 def _inputs(m: MarkedSemiGraph, p: int) -> dict:
+    """The report's inputs; p is checked before the graph is read."""
+    check_prime(p)
     t = graph_type(m)
     return {
         "p": p,
@@ -78,22 +80,26 @@ def _inputs(m: MarkedSemiGraph, p: int) -> dict:
     }
 
 
+def _not_applicable(theorem: str, inputs: dict, claim: str) -> TheoremReport:
+    """The report on a graph whose genus the statement does not concern."""
+    return TheoremReport(
+        theorem,
+        inputs,
+        claim=claim,
+        observed=f"genus {inputs['type']['g']}, nothing to check",
+        passed=True,
+        applicable=False,
+    )
+
+
 def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
     """Count-level statement: none above genus 1, exactly p - 1 at genus 1."""
-    check_prime(p)
     inputs = _inputs(m, p)
     g = inputs["type"]["g"]
     r = inputs["type"]["r"]
     query = EnumerationQuery(p, "strict")
     if g == 0:
-        return TheoremReport(
-            "p048",
-            inputs,
-            claim="statement concerns genus >= 1",
-            observed="genus 0, nothing to check",
-            passed=True,
-            applicable=False,
-        )
+        return _not_applicable("p048", inputs, "statement concerns genus >= 1")
 
     if g >= 2:
         n_back = count(m, query).total
@@ -164,17 +170,9 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
 
 def verify_p048_structure(m: MarkedSemiGraph, p: int) -> TheoremReport:
     """Shape of the genus-1 strict numberings along the (unique) cycle."""
-    check_prime(p)
     inputs = _inputs(m, p)
     if inputs["type"]["g"] != 1:
-        return TheoremReport(
-            "p048_structure",
-            inputs,
-            claim="statement concerns genus 1",
-            observed=f"genus {inputs['type']['g']}, nothing to check",
-            passed=True,
-            applicable=False,
-        )
+        return _not_applicable("p048_structure", inputs, "statement concerns genus 1")
 
     g = m.graph
     loop = reduced_loop(m, g.vertices[0])
@@ -228,7 +226,6 @@ def verify_p048_structure(m: MarkedSemiGraph, p: int) -> TheoremReport:
 
 def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     """Edge consistency, balancedness and radii compatibility on every strict numbering."""
-    check_prime(p)
     inputs = _inputs(m, p)
     failures = []
     checked = 0

@@ -43,6 +43,18 @@ def random_graph(rng, max_vertices=5, min_vertices=1):
             return m
 
 
+def is_prime(n):
+    """Trial division by every d up to the square root of n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def star(p, m1, m2, m3):
     return abs(m2 - m3) <= m1 <= m2 + m3 and m1 + m2 + m3 <= p - 2
 

@@ -379,6 +379,22 @@ def test_miura_rejects_foreign_branch(tmp_path, capsys):
     assert err == "error: numbering has a value for branch ('zzz', 0), which the graph lacks\n"
 
 
+def test_miura_at_a_large_prime(tmp_path, capsys):
+    # Trial division up to the square root of p would take minutes here.
+    p = 2**61 - 1
+    values = {"l1.0": 1, "l1.1": p - 1, "l2.0": 1, "l2.1": p - 1, "l3.0": p - 1, "l3.1": 1}
+    path = tmp_path / "numbering.json"
+    path.write_text(json.dumps({"p": p, "kind": "strict", "branch_values": values}))
+    assert run(capsys, "miura", str(path), "--builtin", "tripod") == (0, (
+        '{"p": 2305843009213693951, "kind": "balanced", '
+        '"edge_values": {"l1": 0, "l2": 0, "l3": 0}, "radii": [0, 0, 0]}\n'
+    ), "")
+    path.write_text(json.dumps({"p": 2**89 - 1, "kind": "strict", "branch_values": {}}))
+    assert run(capsys, "miura", str(path), "--builtin", "tripod") == (
+        1, "", f"error: p must be below 2**64, got {2**89 - 1}\n"
+    )
+
+
 def test_miura_rejects_balanced_file(tmp_path, capsys):
     m = tv.tripod()
     path = tmp_path / "numbering.json"

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import trivalent as tv
+from oracles import is_prime
 from trivalent.numbering import BranchNumbering, EdgeNumbering, balanced_triple
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -35,6 +36,26 @@ def test_check_prime():
     for bad in (2, 1, 0, -7, 4, 9, 15, True, "7", 7.0):
         with pytest.raises(ValueError):
             tv.check_prime(bad)
+    carmichael = (561, 1105, 1729, 41041, 825265)
+    strong_pseudoprimes = (2047, 1373653, 25326001, 3215031751, 3825123056546413051)
+    for n in carmichael + strong_pseudoprimes:
+        raises_exactly(f"p must be a prime greater than 2, got {n}", tv.check_prime, n)
+    for p in (2**31 - 1, 10**14 + 31, 2**61 - 1, 2**64 - 59):
+        assert tv.check_prime(p) == p
+    # The first number the Miller-Rabin bases pass wrongly, and a prime.
+    for n in (318665857834031151167461, 2**89 - 1):
+        raises_exactly(f"p must be below 2**64, got {n}", tv.check_prime, n)
+
+
+def test_check_prime_agrees_with_trial_division():
+    for n in range(10**5):
+        try:
+            tv.check_prime(n)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (n > 2 and is_prime(n)), n
 
 
 def tripod_branch_map(p, inner):
@@ -242,6 +263,28 @@ def test_dumps_with_one_edge_and_with_none():
         '{"p": 5, "kind": "strict", "branch_values": {}}'
     )
     raises_exactly("numbering has no value for edge 'x'", tv.dumps_numbering, one, EdgeNumbering(5, {}))
+
+
+def test_encoders_skip_values_the_graph_lacks():
+    m = tv.tripod()
+    branches = tripod_branch_map(5, (1, 1, 4))
+    strict = BranchNumbering(5, branches)
+    balanced = EdgeNumbering(5, {"l1": 0, "l2": 0, "l3": 0})
+    cases = [
+        (strict, BranchNumbering(5, {**branches, ("zz", 0): 2, ("zz", 1): 3})),
+        (balanced, EdgeNumbering(5, {**balanced.values, "zz": 1})),
+    ]
+    for plain, foreign in cases:
+        line = tv.dumps_numbering(m, plain)
+        assert tv.dumps_numbering(m, foreign) == line
+        assert json.dumps(tv.numbering_to_json_obj(m, foreign)) == line
+    assert tv.dumps_numbering(m, strict) == (
+        '{"p": 5, "kind": "strict", "branch_values": '
+        '{"l1.0": 1, "l1.1": 4, "l2.0": 1, "l2.1": 4, "l3.0": 4, "l3.1": 1}}'
+    )
+    assert tv.dumps_numbering(m, balanced) == (
+        '{"p": 5, "kind": "balanced", "edge_values": {"l1": 0, "l2": 0, "l3": 0}}'
+    )
 
 
 # -- validation pinned exactly: accepted inputs, rejected inputs, messages --

@@ -34,12 +34,37 @@ def test_p048_structure_passes_on_genus_one(name, build, p):
     assert report.applicable and report.passed
 
 
-def test_p048_not_applicable_at_genus_zero():
+def test_p048_not_applicable_at_genus_zero(capsys):
     report = tv.verify_p048(tv.tripod(), 7)
     assert not report.applicable and report.passed
     for name, build in GENUS_TWO + [("tripod", tv.tripod)]:
         structure = tv.verify_p048_structure(build(), 7)
         assert not structure.applicable
+    # The reports in full, from the library and from the command line (exit 3).
+    tripod = {"p": 7, "type": {"g": 0, "r": 3}, "vertices": 1, "edges": 3}
+    theta = {"p": 7, "type": {"g": 2, "r": 0}, "vertices": 2, "edges": 3}
+    cases = [
+        (tv.verify_p048, "p048", "tripod", tripod,
+         "statement concerns genus >= 1", "genus 0, nothing to check"),
+        (tv.verify_p048_structure, "p048_structure", "tripod", tripod,
+         "statement concerns genus 1", "genus 0, nothing to check"),
+        (tv.verify_p048_structure, "p048_structure", "theta", theta,
+         "statement concerns genus 1", "genus 2, nothing to check"),
+    ]
+    for verifier, theorem, graph, inputs, claim, observed in cases:
+        expected = {
+            "theorem": theorem,
+            "inputs": inputs,
+            "claim": claim,
+            "observed": observed,
+            "passed": True,
+            "applicable": False,
+            "witness": [],
+        }
+        assert verifier(getattr(tv, graph)(), 7).to_json_obj() == expected
+        assert main(["verify", theorem, "--p", "7", "--builtin", graph]) == 3
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (json.dumps(expected) + "\n", "")
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
