@@ -28,7 +28,7 @@ from .numbering import (
     radii_of,
 )
 from .miura import check_pp004, miura_transform
-from .search import EnumerationQuery, count, count_by_contraction, enumerate_numberings
+from .search import KINDS, EnumerationQuery, count, count_by_contraction, enumerate_numberings
 from .semigraph import StructureError, validate
 from .verify import (
     FIGURE_P,
@@ -223,7 +223,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_enum = sub.add_parser("enumerate", help="stream numberings as JSON lines")
     p_enum.add_argument("--p", type=_integer_arg, required=True)
-    p_enum.add_argument("--kind", choices=("strict", "balanced"), required=True)
+    p_enum.add_argument("--kind", choices=KINDS, required=True)
     p_enum.add_argument("--constraint", help="comma-separated exponents or radii")
     p_enum.add_argument("--limit", type=_integer_arg)
     add_graph_args(p_enum)
@@ -231,7 +231,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p_count = sub.add_parser("count", help="count numberings")
     p_count.add_argument("--p", type=_integer_arg, required=True)
-    p_count.add_argument("--kind", choices=("strict", "balanced"), required=True)
+    p_count.add_argument("--kind", choices=KINDS, required=True)
     p_count.add_argument("--by-exponent", action="store_true")
     p_count.add_argument(
         "--method", choices=("backtracking", "contraction", "both"), default="backtracking"

@@ -249,25 +249,19 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 # per numbering, so streams re-serialize byte-identically.  A value the
 # numbering holds for a branch or edge the graph lacks is not written.
 #
-# Keys, their order and their JSON escaping are fixed per graph, so both
-# encoders read one layout per graph and kind, compiled once and stored
-# on the graph (``SemiGraph.numbering_lines``): the kind, its values
-# field, the labels, a %-format line template such as
+# ``dumps_numbering`` is the one writer of a numbering document;
+# ``numbering_to_json_obj`` parses its line.  Keys, their order and their
+# JSON escaping are fixed per graph and kind, so each kind's layout is
+# compiled by ``_compile_line`` when that kind is first written on a
+# graph, and stored on the graph (``SemiGraph.numbering_lines``): a
+# %-format line template such as
 # '{"p": %d, "kind": "strict", "branch_values": {"e1.0": %d, ...}}',
 # whose labels are escaped by ``json.dumps`` with any "%" doubled, and
-# an ``itemgetter`` reading the values in label order.
-# ``dumps_numbering`` fills the template, so a line costs one getter call
-# and one %-format; ``numbering_to_json_obj`` zips the labels with the
-# same values into a dict.
+# an ``itemgetter`` reading the values in label order.  A line costs one
+# getter call and one %-format.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:
-    strict, balanced = m.graph.numbering_lines
-    kind, field, labels, _template, get = balanced if isinstance(a, EdgeNumbering) else strict
-    try:
-        values = get(a.values)
-    except KeyError as missing:
-        raise _no_value(missing.args[0]) from None
-    return {"p": a.p, "kind": kind, field: dict(zip(labels, values))}
+    return json.loads(dumps_numbering(m, a))
 
 
 def _integer_value(key: str, m) -> int:
@@ -304,29 +298,27 @@ def numbering_from_json_obj(obj) -> BranchNumbering | EdgeNumbering:
     raise StructureError(f"unknown numbering kind {kind!r}")
 
 
-def _line(kind: str, field: str, labels: list[str], keys: list):
-    """The layout of one kind of numbering line; see the serialization notes."""
+def _compile_line(g: SemiGraph, strict: bool):
+    """Compile g's (template, getter) for strict or balanced numberings
+    and store it in ``g.numbering_lines``; see the serialization notes."""
+    if strict:
+        keys = list(g.branches())
+        labels = [f"{e}.{slot}" for e, slot in keys]
+        head = '"kind": "strict", "branch_values"'
+    else:
+        keys = labels = [e.id for e in g.edges]
+        head = '"kind": "balanced", "edge_values"'
     entries = ", ".join(json.dumps(label).replace("%", "%%") + ": %d" for label in labels)
-    template = f'{{"p": %d, "kind": "{kind}", "{field}": {{{entries}}}}}'
     # itemgetter of one key returns a bare value, and of none cannot be built.
     get = itemgetter(*keys) if len(keys) > 1 else lambda values: tuple([values[k] for k in keys])
-    return kind, field, labels, template, get
-
-
-def compile_numbering_lines(g: SemiGraph):
-    """(strict, balanced) layouts of g: each is (kind, field, labels,
-    template, getter); see the serialization notes above."""
-    branches = list(g.branches())
-    edge_ids = [e.id for e in g.edges]
-    return (
-        _line("strict", "branch_values", [f"{e}.{slot}" for e, slot in branches], branches),
-        _line("balanced", "edge_values", edge_ids, edge_ids),
-    )
+    template = f'{{"p": %d, {head}: {{{entries}}}}}'
+    g.numbering_lines[strict] = template, get
+    return template, get
 
 
 def dumps_numbering(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> str:
-    strict, balanced = m.graph.numbering_lines
-    _kind, _field, _labels, template, get = balanced if isinstance(a, EdgeNumbering) else strict
+    strict = not isinstance(a, EdgeNumbering)
+    template, get = m.graph.numbering_lines.get(strict) or _compile_line(m.graph, strict)
     try:
         return template % ((a.p,) + get(a.values))
     except KeyError as missing:

@@ -118,17 +118,17 @@ class SemiGraph:
             yield (e.id, 1)
 
     @cached_property
-    def numbering_lines(self):
-        """The JSON layout of a strict and of a balanced numbering on this graph.
+    def numbering_lines(self) -> dict:
+        """The JSON line layouts of numberings on this graph, keyed by
+        kind: True for strict, False for balanced.
 
-        Built once per graph by ``numbering.compile_numbering_lines``; both
-        ``numbering.dumps_numbering`` and ``numbering.numbering_to_json_obj``
-        read it.  It is kept on the graph because a cache keyed by the graph
-        would hash every edge on every line.
+        Empty at first.  ``numbering.dumps_numbering``, the one writer of a
+        numbering document, compiles a kind's layout the first time it
+        writes that kind on this graph and stores it here.  It is kept on
+        the graph because a cache keyed by the graph would hash every edge
+        on every line.
         """
-        from .numbering import compile_numbering_lines  # numbering imports this module
-
-        return compile_numbering_lines(self)
+        return {}
 
     @staticmethod
     def partner(b: Branch) -> Branch:

@@ -9,6 +9,7 @@ draws the test graphs these oracles are run on.
 import itertools
 from operator import itemgetter
 
+from trivalent.numbering import EdgeNumbering
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, validate
 
 
@@ -134,6 +135,19 @@ def open_values_strict(m, branch_values):
 
 def open_values_balanced(m, edge_values):
     return tuple(edge_values[eid] for eid in m.marking)
+
+
+def numbering_document(m, a):
+    """The JSON document of numbering ``a`` on ``m``, built as a dict by
+    walking the graph: strict labels "<edge id>.<slot>" from
+    ``g.branches()``, balanced labels from ``g.edges``, each value read
+    from ``a.values`` by key.  Values for branches or edges the graph
+    lacks are left out; a missing value raises ``KeyError``."""
+    g = m.graph
+    if isinstance(a, EdgeNumbering):
+        return {"p": a.p, "kind": "balanced", "edge_values": {e.id: a.values[e.id] for e in g.edges}}
+    values = {f"{eid}.{slot}": a.values[(eid, slot)] for eid, slot in g.branches()}
+    return {"p": a.p, "kind": "strict", "branch_values": values}
 
 
 def recursive_reduced_loop(m, base):

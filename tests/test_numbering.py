@@ -4,7 +4,7 @@ import json
 import pytest
 
 import trivalent as tv
-from oracles import is_prime
+from oracles import is_prime, numbering_document
 from trivalent.numbering import BranchNumbering, EdgeNumbering, balanced_triple
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -195,13 +195,27 @@ def test_dotted_edge_ids_survive_roundtrip():
     assert tv.loads_numbering(text) == a
 
 
-# -- dumps_numbering fills a compiled line; it must equal json.dumps of the dict --
+# -- both encoders write what a dict built by walking the graph writes --
 
 def escaping_tripod():
     from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
     ids = ('a%d"b', "\u00e9\u2713", "c\\d.e")
     return MarkedSemiGraph(SemiGraph(("v",), tuple(Edge(i, ("v", OPEN)) for i in ids)), ids)
+
+
+# Edge ids holding "%", a quote, a backslash, a non-ASCII letter, ".", a
+# lone surrogate and a newline, in place of cycle_with_legs(4)'s c1..c4, l1..l4.
+RELABELLED_IDS = ("c%1", 'c"2', "c\\3", "c\u00e94", "l.1", "l\ud8002", "l\n3", "%%d.l4")
+
+
+def relabelled_cycle():
+    from trivalent.semigraph import Edge, MarkedSemiGraph, SemiGraph
+
+    m = tv.cycle_with_legs(4)
+    rename = dict(zip([e.id for e in m.graph.edges], RELABELLED_IDS))
+    edges = tuple(Edge(rename[e.id], e.ends) for e in m.graph.edges)
+    return MarkedSemiGraph(SemiGraph(m.graph.vertices, edges), [rename[i] for i in m.marking])
 
 
 DUMPS_GRAPHS = {
@@ -212,12 +226,19 @@ DUMPS_GRAPHS = {
     **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in (1, 2, 3, 4)},
     "figure_tree": tv.figure_tree,
     "escaping_tripod": escaping_tripod,
+    "relabelled_cycle": relabelled_cycle,
 }
 
 
 def assert_dumps_matches_dict(m, numberings):
+    """Both encoders against ``oracles.numbering_document``, key order
+    included."""
     for a in numberings:
-        assert tv.dumps_numbering(m, a) == json.dumps(tv.numbering_to_json_obj(m, a))
+        expected = numbering_document(m, a)
+        line = tv.dumps_numbering(m, a)
+        obj = tv.numbering_to_json_obj(m, a)
+        assert line == json.dumps(expected)
+        assert obj == expected and json.dumps(obj) == line
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
@@ -225,7 +246,10 @@ def assert_dumps_matches_dict(m, numberings):
 @pytest.mark.parametrize("name", DUMPS_GRAPHS)
 def test_dumps_matches_json_dumps_of_dict(name, kind, p):
     m = DUMPS_GRAPHS[name]()
-    assert_dumps_matches_dict(m, tv.enumerate_numberings(m, tv.EnumerationQuery(p, kind)))
+    numberings = list(tv.enumerate_numberings(m, tv.EnumerationQuery(p, kind)))
+    assert_dumps_matches_dict(m, numberings)
+    for a in numberings:
+        assert tv.loads_numbering(tv.dumps_numbering(m, a)) == a
 
 
 def test_dumps_escapes_labels():
@@ -245,6 +269,19 @@ def test_dumps_interleaves_kinds_on_one_graph():
         lines = [a for pair in zip(balanced, strict) for a in pair]
         assert len(lines) > 2
         assert_dumps_matches_dict(m, lines)
+
+
+def test_one_kind_compiles_only_its_layout():
+    m = tv.figure_tree()  # fresh graph: nothing compiled yet
+    image = tv.miura_transform(m, tv.figure_numbering())
+    assert tv.numbering_to_json_obj(m, image) == numbering_document(m, image)
+    assert list(m.graph.numbering_lines) == [False]
+    balanced = m.graph.numbering_lines[False]
+    tv.dumps_numbering(m, tv.figure_numbering())
+    assert list(m.graph.numbering_lines) == [False, True]
+    # Each layout is compiled once and read by every later line.
+    tv.dumps_numbering(m, image)
+    assert m.graph.numbering_lines[False] is balanced
 
 
 def test_dumps_with_one_edge_and_with_none():
@@ -277,7 +314,7 @@ def test_encoders_skip_values_the_graph_lacks():
     for plain, foreign in cases:
         line = tv.dumps_numbering(m, plain)
         assert tv.dumps_numbering(m, foreign) == line
-        assert json.dumps(tv.numbering_to_json_obj(m, foreign)) == line
+        assert_dumps_matches_dict(m, (plain, foreign))
     assert tv.dumps_numbering(m, strict) == (
         '{"p": 5, "kind": "strict", "branch_values": '
         '{"l1.0": 1, "l1.1": 4, "l2.0": 1, "l2.1": 4, "l3.0": 4, "l3.1": 1}}'

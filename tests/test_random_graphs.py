@@ -13,6 +13,7 @@ from trivalent.search import EnumerationQuery, _Problem, count, count_by_contrac
 from oracles import (
     naive_balanced,
     naive_strict,
+    numbering_document,
     open_values_balanced,
     open_values_strict,
     random_graph,
@@ -24,7 +25,7 @@ PRIMES = (3, 5, 7)
 SEEDS = range(30)
 # Graphs of 6-8 vertices: backtracking against contraction, at most
 # MAX_ENUMERATED numberings per query, cells too on at most MAX_CELL_LEGS legs.
-LARGE_SEEDS = range(1000, 1100)
+LARGE_SEEDS = range(1000, 1300)
 LARGE_PRIMES = (5, 7, 11)
 MAX_ENUMERATED = 5_000
 MAX_CELL_LEGS = 4
@@ -51,12 +52,10 @@ def _agree(m, p, kind, solutions, read_open):
         else:
             assert tv.EdgeNumbering(a.p, a.values) == a
     assert [a.values for a in numberings] == solutions
-    # Each stream line reads back as its numbering, and the compiled line
-    # template writes what the dict writer does.
+    # Each stream line reads back as its numbering, and both encoders write
+    # the reference document, key order included.
     for a in numberings:
-        line = tv.dumps_numbering(m, a)
-        assert tv.loads_numbering(line) == a
-        assert json.dumps(tv.numbering_to_json_obj(m, a)) == line
+        _writes_reference(m, a)
     if m.marking:
         # A leg value outside the domain is turned away at setup: a strict
         # exponent 0, a balanced radius (p - 1) / 2.
@@ -65,6 +64,15 @@ def _agree(m, p, kind, solutions, read_open):
         assert not _Problem(m, pinned).feasible
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
     return numberings
+
+
+def _writes_reference(m, a):
+    expected = numbering_document(m, a)
+    line = tv.dumps_numbering(m, a)
+    assert line == json.dumps(expected)
+    assert tv.loads_numbering(line) == a
+    obj = tv.numbering_to_json_obj(m, a)
+    assert obj == expected and json.dumps(obj) == line
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -87,6 +95,7 @@ def test_random_graph_agreement(seed):
             assert sum(a.values[b] for b in inner) == t.r - (p - 2) * (t.g - 1)
             image = tv.miura_transform(m, a)
             assert tv.EdgeNumbering(p, image.values) == image
+            _writes_reference(m, image)
             assert tuple(image.values.values()) in images
             assert tv.radii_of(m, image) == tuple(tv.mu_value(p, e) for e in tv.exponent_of(m, a))
     assert checked
