@@ -22,13 +22,12 @@ from . import semigraph
 from .numbering import (
     BranchNumbering,
     check_prime,
-    dumps_numbering,
     loads_numbering,
     numbering_to_json_obj,
     radii_of,
 )
 from .miura import check_pp004, miura_transform
-from .search import KINDS, EnumerationQuery, count, count_by_contraction, enumerate_numberings
+from .search import KINDS, EnumerationQuery, count, count_by_contraction, enumerate_lines
 from .semigraph import StructureError, validate
 from .verify import (
     FIGURE_P,
@@ -121,8 +120,9 @@ def cmd_enumerate(args) -> int:
     query = EnumerationQuery(
         p, args.kind, constraint=_parse_constraint(args.constraint), limit=args.limit
     )
-    for numbering in enumerate_numberings(m, query):
-        print(dumps_numbering(m, numbering))
+    write = sys.stdout.write
+    for line in enumerate_lines(m, query):
+        write(line + "\n")
     return PASS
 
 

@@ -249,16 +249,18 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 # per numbering, so streams re-serialize byte-identically.  A value the
 # numbering holds for a branch or edge the graph lacks is not written.
 #
-# ``dumps_numbering`` is the one writer of a numbering document;
-# ``numbering_to_json_obj`` parses its line.  Keys, their order and their
-# JSON escaping are fixed per graph and kind, so each kind's layout is
-# compiled by ``_compile_line`` when that kind is first written on a
-# graph, and stored on the graph (``SemiGraph.numbering_lines``): a
-# %-format line template such as
+# The compiled line template is the one writer of a numbering document.
+# Keys, their order and their JSON escaping are fixed per graph and kind,
+# so each kind's layout is compiled by ``_compile_line`` when that kind
+# is first written on a graph, and stored on the graph
+# (``SemiGraph.numbering_lines``): a %-format line template such as
 # '{"p": %d, "kind": "strict", "branch_values": {"e1.0": %d, ...}}',
 # whose labels are escaped by ``json.dumps`` with any "%" doubled, and
-# an ``itemgetter`` reading the values in label order.  A line costs one
-# getter call and one %-format.
+# an ``itemgetter`` reading a numbering's values in label order.  Two
+# callers fill the template: ``dumps_numbering``, from a numbering, with
+# one getter call and one %-format; and the enumerate stream
+# (``search.enumerate_lines``), straight from the search's value tuples.
+# ``numbering_to_json_obj`` parses the line ``dumps_numbering`` writes.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:
     return json.loads(dumps_numbering(m, a))

@@ -6,7 +6,8 @@ the variable is the slot-0 branch value (1..p-1, slot 1 carrying p - x);
 for balanced numberings it is the edge value, with domain 0..(p-3)/2:
 every edge meets a vertex, where 2 * max <= sum <= p - 2.
 
-* ``enumerate_numberings`` and ``count`` run a depth-first backtracking
+* ``enumerate_numberings``, ``enumerate_lines`` (the JSON lines of the
+  same stream, for the CLI) and ``count`` run a depth-first backtracking
   search.  Edges are branched in declaration order with values
   ascending, and whenever a vertex determines its last free edge that
   value is propagated before further branching, so the stream is
@@ -73,6 +74,7 @@ from .numbering import (
     EdgeNumbering,
     ExponentVector,
     _built,
+    _compile_line,
     check_prime,
 )
 from .semigraph import MarkedSemiGraph, StructureError, require_valid
@@ -386,6 +388,28 @@ def enumerate_numberings(
     problem = _Problem(m, query)
     for sol in itertools.islice(problem.solutions(), query.limit):
         yield problem.to_numbering(sol)
+
+
+def enumerate_lines(m: MarkedSemiGraph, query: EnumerationQuery) -> Iterator[str]:
+    """The ``dumps_numbering`` line of each numbering
+    ``enumerate_numberings(m, query)`` yields, in the same order, filled
+    into the graph's compiled template straight from the search's value
+    tuples.  The template reads p, then the values in label order: a
+    balanced edge value per edge, or a strict x and p - x per edge, slot 0
+    before slot 1."""
+    problem = _Problem(m, query)
+    p, strict = problem.p, problem.strict
+    template, _ = m.graph.numbering_lines.get(strict) or _compile_line(m.graph, strict)
+    solutions = itertools.islice(problem.solutions(), query.limit)
+    if not strict:
+        for sol in solutions:
+            yield template % ((p,) + sol)
+        return
+    for sol in solutions:
+        values = [p]
+        for x in sol:
+            values += (x, p - x)
+        yield template % tuple(values)
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:

@@ -122,11 +122,11 @@ class SemiGraph:
         """The JSON line layouts of numberings on this graph, keyed by
         kind: True for strict, False for balanced.
 
-        Empty at first.  ``numbering.dumps_numbering``, the one writer of a
-        numbering document, compiles a kind's layout the first time it
-        writes that kind on this graph and stores it here.  It is kept on
-        the graph because a cache keyed by the graph would hash every edge
-        on every line.
+        Empty at first.  ``numbering._compile_line`` compiles a kind's
+        layout the first time ``numbering.dumps_numbering`` or
+        ``search.enumerate_lines`` writes that kind on this graph, and
+        stores it here.  It is kept on the graph because a cache keyed by
+        the graph would hash every edge on every line.
         """
         return {}
 

@@ -3,14 +3,15 @@
 Everything here scans the raw assignment space directly off the graph
 structure, bypassing the predicates and both search engines, so that
 agreement is meaningful.  Only usable at desk scale.  ``random_graph``
-draws the test graphs these oracles are run on.
+draws the test graphs these oracles are run on, and ``relabelled_cycle``
+gives a graph whose edge ids test the JSON writers' escaping.
 """
 
 import itertools
 from operator import itemgetter
 
 from trivalent.numbering import EdgeNumbering
-from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, validate
+from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, cycle_with_legs, validate
 
 
 def random_graph(rng, max_vertices=5, min_vertices=1):
@@ -42,6 +43,19 @@ def random_graph(rng, max_vertices=5, min_vertices=1):
         m = MarkedSemiGraph(SemiGraph(tuple(vertices), tuple(edges)), tuple(marking))
         if validate(m).valid:
             return m
+
+
+# Edge ids holding "%", a quote, a backslash, a non-ASCII letter, ".", a
+# lone surrogate and a newline, in place of cycle_with_legs(4)'s c1..c4, l1..l4.
+RELABELLED_IDS = ("c%1", 'c"2', "c\\3", "c\u00e94", "l.1", "l\ud8002", "l\n3", "%%d.l4")
+
+
+def relabelled_cycle():
+    """``cycle_with_legs(4)`` with its edges renamed to ``RELABELLED_IDS``."""
+    m = cycle_with_legs(4)
+    rename = dict(zip([e.id for e in m.graph.edges], RELABELLED_IDS))
+    edges = tuple(Edge(rename[e.id], e.ends) for e in m.graph.edges)
+    return MarkedSemiGraph(SemiGraph(m.graph.vertices, edges), [rename[i] for i in m.marking])
 
 
 def is_prime(n):

@@ -219,17 +219,44 @@ STREAM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind,graph,p", sorted(STREAM_DIGESTS))
-def test_enumerate_stream_bytes_are_frozen(tmp_path, capsys, kind, graph, p):
+def _stream_argv(tmp_path, kind, graph, p):
     if graph == "figure":
         path = tmp_path / "figure_tree.json"
         path.write_text(tv.dumps_graph(tv.figure_tree()))
         source = [str(path)]
     else:
         source = ["--builtin", graph]
-    code, out, err = run(capsys, "enumerate", "--kind", kind, "--p", str(p), *source)
+    return ["enumerate", "--kind", kind, "--p", str(p), *source]
+
+
+@pytest.mark.parametrize("kind,graph,p", sorted(STREAM_DIGESTS))
+def test_enumerate_stream_bytes_are_frozen(tmp_path, capsys, kind, graph, p):
+    code, out, err = run(capsys, *_stream_argv(tmp_path, kind, graph, p))
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == STREAM_DIGESTS[(kind, graph, p)]
+
+
+class WriteOnly:
+    """A stdout with only ``write`` and ``flush``, as the benchmark's byte
+    sink has: no ``writelines``, no buffer, no file number."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+
+    def write(self, text):
+        self.hash.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("kind,graph,p", sorted(STREAM_DIGESTS))
+def test_enumerate_writes_through_write_and_flush_only(monkeypatch, tmp_path, kind, graph, p):
+    out = WriteOnly()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(_stream_argv(tmp_path, kind, graph, p)) == 0
+    assert out.hash.hexdigest() == STREAM_DIGESTS[(kind, graph, p)]
 
 
 def test_enumerate_limit_is_prefix(capsys):

@@ -4,7 +4,7 @@ import json
 import pytest
 
 import trivalent as tv
-from oracles import is_prime, numbering_document
+from oracles import is_prime, numbering_document, relabelled_cycle
 from trivalent.numbering import BranchNumbering, EdgeNumbering, balanced_triple
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -202,20 +202,6 @@ def escaping_tripod():
 
     ids = ('a%d"b', "\u00e9\u2713", "c\\d.e")
     return MarkedSemiGraph(SemiGraph(("v",), tuple(Edge(i, ("v", OPEN)) for i in ids)), ids)
-
-
-# Edge ids holding "%", a quote, a backslash, a non-ASCII letter, ".", a
-# lone surrogate and a newline, in place of cycle_with_legs(4)'s c1..c4, l1..l4.
-RELABELLED_IDS = ("c%1", 'c"2', "c\\3", "c\u00e94", "l.1", "l\ud8002", "l\n3", "%%d.l4")
-
-
-def relabelled_cycle():
-    from trivalent.semigraph import Edge, MarkedSemiGraph, SemiGraph
-
-    m = tv.cycle_with_legs(4)
-    rename = dict(zip([e.id for e in m.graph.edges], RELABELLED_IDS))
-    edges = tuple(Edge(rename[e.id], e.ends) for e in m.graph.edges)
-    return MarkedSemiGraph(SemiGraph(m.graph.vertices, edges), [rename[i] for i in m.marking])
 
 
 DUMPS_GRAPHS = {

@@ -8,7 +8,13 @@ from collections import Counter
 import pytest
 
 import trivalent as tv
-from trivalent.search import EnumerationQuery, _Problem, count, count_by_contraction
+from trivalent.search import (
+    EnumerationQuery,
+    _Problem,
+    count,
+    count_by_contraction,
+    enumerate_lines,
+)
 
 from oracles import (
     naive_balanced,
@@ -24,11 +30,13 @@ MAX_SPACE = 300_000
 PRIMES = (3, 5, 7)
 SEEDS = range(30)
 # Graphs of 6-8 vertices: backtracking against contraction, at most
-# MAX_ENUMERATED numberings per query, cells too on at most MAX_CELL_LEGS legs.
+# MAX_ENUMERATED numberings per query, cells too on at most MAX_CELL_LEGS
+# legs, and the first PINNED_CELLS cells counted under their own constraint.
 LARGE_SEEDS = range(1000, 1300)
 LARGE_PRIMES = (5, 7, 11)
 MAX_ENUMERATED = 5_000
 MAX_CELL_LEGS = 4
+PINNED_CELLS = 2
 
 
 def _agree(m, p, kind, solutions, read_open):
@@ -42,6 +50,8 @@ def _agree(m, p, kind, solutions, read_open):
     for cell, n in sorted(cells.items())[:4]:
         pinned = EnumerationQuery(p, kind, constraint=cell)
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == n
+        lines = [tv.dumps_numbering(m, a) for a in tv.enumerate_numberings(m, pinned)]
+        assert list(enumerate_lines(m, pinned)) == lines and len(lines) == n
     numberings = list(tv.enumerate_numberings(m, query))
     # The engine builds its numberings without the constructor's checks;
     # each must pass them unchanged.
@@ -56,6 +66,7 @@ def _agree(m, p, kind, solutions, read_open):
     # the reference document, key order included.
     for a in numberings:
         _writes_reference(m, a)
+    assert list(enumerate_lines(m, query)) == [tv.dumps_numbering(m, a) for a in numberings]
     if m.marking:
         # A leg value outside the domain is turned away at setup: a strict
         # exponent 0, a balanced radius (p - 1) / 2.
@@ -63,6 +74,7 @@ def _agree(m, p, kind, solutions, read_open):
         pinned = EnumerationQuery(p, kind, constraint=outside)
         assert not _Problem(m, pinned).feasible
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
+        assert list(enumerate_lines(m, pinned)) == []
     return numberings
 
 
@@ -115,3 +127,7 @@ def test_random_large_graph_engines_agree(seed):
                 continue
             report = count(m, query, by_exponent=by_exponent)
             assert (report.total, report.by_exponent) == (expected.total, expected.by_exponent)
+            if by_exponent:
+                for cell, n in sorted(expected.by_exponent.items())[:PINNED_CELLS]:
+                    pinned = EnumerationQuery(p, kind, constraint=cell)
+                    assert count(m, pinned).total == count_by_contraction(m, pinned).total == n

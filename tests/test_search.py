@@ -14,11 +14,18 @@ from trivalent.search import (
     _vertex_factors,
     count,
     count_by_contraction,
+    enumerate_lines,
     enumerate_numberings,
 )
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
-from oracles import naive_balanced, naive_strict, open_values_strict, product_vertex_table
+from oracles import (
+    naive_balanced,
+    naive_strict,
+    open_values_strict,
+    product_vertex_table,
+    relabelled_cycle,
+)
 
 BUILDERS = {
     "tripod": tv.tripod,
@@ -114,20 +121,75 @@ def test_limit_yields_a_prefix():
         assert [tv.dumps_numbering(m, a) for a in enumerate_numberings(m, q_k)] == full[:k]
 
 
-@pytest.mark.parametrize("k", (0, 1, 3))
-def test_limit_pulls_no_solution_past_the_last(monkeypatch, k):
-    pulled = []
+@pytest.fixture
+def pulled(monkeypatch):
+    """The tuples drawn from ``_Problem.solutions``, in the order drawn."""
+    out = []
     solutions = _Problem.solutions
 
     def counted(self):
         for sol in solutions(self):
-            pulled.append(sol)
+            out.append(sol)
             yield sol
 
     monkeypatch.setattr(_Problem, "solutions", counted)
+    return out
+
+
+@pytest.mark.parametrize("k", (0, 1, 3))
+def test_limit_pulls_no_solution_past_the_last(pulled, k):
     out = list(enumerate_numberings(tv.tripod(), EnumerationQuery(7, "strict", limit=k)))
     assert len(out) == k
     assert len(pulled) == k
+
+
+@pytest.mark.parametrize("k", (0, 1, 3))
+def test_lines_limit_pulls_no_solution_past_the_last(pulled, k):
+    out = list(enumerate_lines(tv.tripod(), EnumerationQuery(7, "strict", limit=k)))
+    assert len(out) == k
+    assert len(pulled) == k
+
+
+LINE_GRAPHS = {
+    **BUILDERS,
+    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in range(1, 7)},
+    "figure_tree": tv.figure_tree,
+    "relabelled_cycle": relabelled_cycle,
+}
+# Streams longer than this are compared on their first MAX_LINES lines.
+MAX_LINES = 3_000
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11))
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+@pytest.mark.parametrize("name", LINE_GRAPHS)
+def test_enumerate_lines_are_the_dumped_numberings(name, kind, p):
+    m = LINE_GRAPHS[name]()
+
+    def lines(**options):
+        query = EnumerationQuery(p, kind, **options)
+        got = list(enumerate_lines(m, query))
+        assert got == [tv.dumps_numbering(m, a) for a in enumerate_numberings(m, query)]
+        return got
+
+    limit = MAX_LINES if count_by_contraction(m, EnumerationQuery(p, kind)).total > MAX_LINES else None
+    full = lines(limit=limit)
+    for k in (0, 1, 7):
+        assert lines(limit=k) == full[:k]
+    if not m.marking:
+        assert lines(constraint=(), limit=limit) == full
+        return
+    if full:
+        # The legs of the first numbering pin a cell that holds it.
+        first = next(enumerate_numberings(m, EnumerationQuery(p, kind)))
+        read = tv.exponent_of if kind == "strict" else tv.radii_of
+        assert lines(constraint=read(m, first), limit=limit)[0] == full[0]
+    # A strict exponent 0 and a balanced radius (p - 1) / 2 are out of domain.
+    outside = (0 if kind == "strict" else (p - 1) // 2,) * len(m.marking)
+    assert lines(constraint=outside) == []
+    if kind == "strict" and tv.graph_type(m).g == 1:
+        # Every leg of a genus-1 strict numbering reads p - 1.
+        assert lines(constraint=(p - 2,) * len(m.marking)) == []
 
 
 def test_strict_slot_convention():
