@@ -134,13 +134,7 @@ def cmd_count(args) -> int:
         back = count(m, query, by_exponent=by_exponent)
         cont = count_by_contraction(m, query, by_exponent=by_exponent)
         agree = back.total == cont.total and back.by_exponent == cont.by_exponent
-        _emit(
-            {
-                "backtracking": back.to_json_obj(),
-                "contraction": cont.to_json_obj(),
-                "agree": agree,
-            }
-        )
+        _emit({**{r.method: r.to_json_obj() for r in (back, cont)}, "agree": agree})
         return PASS if agree else FAIL
     if args.method == "contraction":
         report = count_by_contraction(m, query, by_exponent=by_exponent)

@@ -107,6 +107,9 @@ class EnumerationQuery:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """One engine's count.  ``method`` names the engine; ``count --method
+    both`` and ``verify_p048`` key each engine's figures by it."""
+
     total: int
     method: str
     by_exponent: Mapping[ExponentVector, int] | None = None

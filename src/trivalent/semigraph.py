@@ -22,7 +22,7 @@ the object, so a graph serving many engine calls is checked once.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -213,6 +213,8 @@ class MarkedSemiGraph:
 
 @dataclass(frozen=True)
 class GraphType:
+    """The (g, r) type; its JSON object is its fields, in this order."""
+
     g: int
     r: int
 
@@ -223,6 +225,8 @@ class GraphType:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One semantic check; its JSON object is its fields, in this order."""
+
     name: str
     passed: bool
     detail: str = ""
@@ -238,13 +242,12 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_obj(self) -> dict:
+        """``valid``, then ``type`` (when known) and ``checks``, each
+        written from its dataclass's fields in field order."""
         obj: dict = {"valid": self.valid}
         if self.graph_type is not None:
-            obj["type"] = {"g": self.graph_type.g, "r": self.graph_type.r}
-        obj["checks"] = [
-            {"name": c.name, "passed": c.passed, "detail": c.detail}
-            for c in self.checks
-        ]
+            obj["type"] = asdict(self.graph_type)
+        obj["checks"] = [asdict(c) for c in self.checks]
         return obj
 
 

@@ -29,7 +29,7 @@ The checked statements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .miura import miura_transform, mu_value
 from .numbering import (
@@ -48,6 +48,8 @@ from .semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, graph_type, reduc
 
 @dataclass(frozen=True)
 class TheoremReport:
+    """One statement's outcome; ``to_json_obj`` keys follow the field order."""
+
     theorem: str
     inputs: dict
     claim: str
@@ -57,27 +59,23 @@ class TheoremReport:
     witness: tuple = ()
 
     def to_json_obj(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "inputs": self.inputs,
-            "claim": self.claim,
-            "observed": self.observed,
-            "passed": self.passed,
-            "applicable": self.applicable,
-            "witness": list(self.witness),
-        }
+        return {**asdict(self), "witness": list(self.witness)}
 
 
 def _inputs(m: MarkedSemiGraph, p: int) -> dict:
     """The report's inputs; p is checked before the graph is read."""
     check_prime(p)
-    t = graph_type(m)
     return {
         "p": p,
-        "type": {"g": t.g, "r": t.r},
+        "type": asdict(graph_type(m)),
         "vertices": len(m.graph.vertices),
         "edges": len(m.graph.edges),
     }
+
+
+def _totals(m: MarkedSemiGraph, query: EnumerationQuery) -> dict[str, int]:
+    """Each engine's total, keyed by the method its report names."""
+    return {r.method: r.total for r in (count(m, query), count_by_contraction(m, query))}
 
 
 def _not_applicable(theorem: str, inputs: dict, claim: str) -> TheoremReport:
@@ -102,21 +100,20 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
         return _not_applicable("p048", inputs, "statement concerns genus >= 1")
 
     if g >= 2:
-        n_back = count(m, query).total
-        n_cont = count_by_contraction(m, query).total
-        passed = n_back == 0 and n_cont == 0
+        totals = _totals(m, query)
+        passed = not any(totals.values())
         witness = ()
         if not passed:
             first = next(enumerate_numberings(m, query), None)
             if first is not None:
                 witness = (numbering_to_json_obj(m, first),)
             else:
-                witness = ({"counts": {"backtracking": n_back, "contraction": n_cont}},)
+                witness = ({"counts": totals},)
         return TheoremReport(
             "p048",
             inputs,
             claim="no strict numbering exists (genus >= 2)",
-            observed=f"backtracking {n_back}, contraction {n_cont}",
+            observed=", ".join(f"{method} {n}" for method, n in totals.items()),
             passed=passed,
             witness=witness,
         )
@@ -131,37 +128,22 @@ def verify_p048(m: MarkedSemiGraph, p: int) -> TheoremReport:
             bad_exponent.append(
                 {"exponent": list(e), "numbering": numbering_to_json_obj(m, numbering)}
             )
-    n_cont = count_by_contraction(m, query).total
-    constrained = EnumerationQuery(p, "strict", constraint=target)
-    c_back = count(m, constrained).total
-    c_cont = count_by_contraction(m, constrained).total
-    passed = (
-        n_back == p - 1
-        and n_cont == p - 1
-        and not bad_exponent
-        and c_back == n_back
-        and c_cont == n_back
-    )
+    cont = count_by_contraction(m, query)
+    totals = {"backtracking": n_back, cont.method: cont.total}
+    constrained = _totals(m, EnumerationQuery(p, "strict", constraint=target))
+    counts = {**totals, **{f"constrained_{method}": n for method, n in constrained.items()}}
+    passed = not bad_exponent and all(n == p - 1 for n in counts.values())
     witness = tuple(bad_exponent)
     if not witness and not passed:
-        witness = (
-            {
-                "counts": {
-                    "backtracking": n_back,
-                    "contraction": n_cont,
-                    "constrained_backtracking": c_back,
-                    "constrained_contraction": c_cont,
-                    "expected": p - 1,
-                }
-            },
-        )
+        witness = ({"counts": {**counts, "expected": p - 1}},)
     return TheoremReport(
         "p048",
         inputs,
         claim=f"exactly {p - 1} strict numberings, all of exponent {list(target)}",
         observed=(
-            f"backtracking {n_back}, contraction {n_cont}, "
-            f"constrained {c_back}/{c_cont}, off-exponent {len(bad_exponent)}"
+            ", ".join(f"{method} {n}" for method, n in totals.items())
+            + f", constrained {'/'.join(map(str, constrained.values()))}"
+            + f", off-exponent {len(bad_exponent)}"
         ),
         passed=passed,
         witness=witness,

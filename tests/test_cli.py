@@ -259,6 +259,59 @@ def test_enumerate_writes_through_write_and_flush_only(monkeypatch, tmp_path, ki
     assert out.hash.hexdigest() == STREAM_DIGESTS[(kind, graph, p)]
 
 
+# Every command but enumerate (frozen by STREAM_DIGESTS above) on the builtins,
+# cycle:1..4 and the figure tree at p = 3, 5, 7 and the composite 9, plus the
+# refusals the commands make themselves.  argparse's own errors are left out:
+# their usage text wraps at the terminal's width.
+GOLDEN_GRAPHS = (
+    ["--builtin", "tripod"], ["--builtin", "theta"], ["--builtin", "dumbbell"],
+    ["--builtin", "loop_with_leg"], *(["--builtin", f"cycle:{n}"] for n in range(1, 5)),
+    ["figure.json"],
+)
+GOLDEN_REFUSALS = (
+    ["validate"],
+    ["validate", "--builtin", "octopus"],
+    ["validate", "figure.json", "--builtin", "tripod"],
+    ["count", "--p", "5", "--kind", "strict", "--builtin", "cycle:0"],
+    ["count", "--p", "1", "--kind", "balanced", "--builtin", "tripod"],
+    ["enumerate", "--p", "5", "--kind", "strict", "--builtin", "tripod", "--limit", "-1"],
+    ["enumerate", "--p", "5", "--kind", "strict", "--builtin", "tripod", "--constraint", "a,b"],
+    ["miura", "missing.json", "--builtin", "tripod"],
+    ["verify", "figure", "--p", "7"],
+    ["verify", "figure", "--builtin", "tripod"],
+    ["verify", "pp004", "--p", "5", "--builtin", "theta"],
+    ["verify", "pp004"],
+    ["verify", "p048", "--builtin", "theta"],
+)
+GOLDEN_DIGEST = "4a4661689c82d39abe2c595c42621c0562156ea4b4ceaa4e4a726fe83c631708"
+
+
+def _golden_argvs():
+    yield ["verify", "figure"]
+    yield from GOLDEN_REFUSALS
+    for graph in GOLDEN_GRAPHS:
+        yield ["validate", *graph]
+        for p in ("3", "5", "7", "9"):
+            for kind in ("strict", "balanced"):
+                for method in ("backtracking", "contraction", "both"):
+                    for extra in ([], ["--by-exponent"]):
+                        yield ["count", "--p", p, "--kind", kind, "--method", method,
+                               *extra, *graph]
+            for theorem in ("p048", "p048_structure", "miura"):
+                yield ["verify", theorem, "--p", p, *graph]
+    for p in ("3", "5", "7", "9"):
+        yield ["verify", "pp004", "--p", p]
+
+
+def test_cli_bytes_are_frozen(monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "figure.json").write_text(tv.dumps_graph(tv.figure_tree()))
+    digest = hashlib.sha256()
+    for argv in _golden_argvs():
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
+
+
 def test_enumerate_limit_is_prefix(capsys):
     full = run(capsys, "enumerate", "--p", "7", "--kind", "balanced", "--builtin", "theta")[1]
     head = run(
@@ -344,6 +397,38 @@ def test_count_both_methods(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"total": 10, "method": "contraction"}
+
+
+real_contraction = cli_mod.count_by_contraction
+
+
+def _off_by_one_total(m, query, by_exponent=False):
+    report = real_contraction(m, query, by_exponent=by_exponent)
+    return tv.CensusReport(report.total + 1, report.method, report.by_exponent)
+
+
+def _moved_cell(m, query, by_exponent=False):
+    """The same total, with one numbering moved to a cell of its own."""
+    report = real_contraction(m, query, by_exponent=by_exponent)
+    cells = dict(report.by_exponent)
+    first = next(iter(cells))
+    cells[first] -= 1
+    cells[(0,) * len(first)] = 1
+    return tv.CensusReport(report.total, report.method, cells)
+
+
+@pytest.mark.parametrize("fake,extra", [(_off_by_one_total, ()), (_moved_cell, ("--by-exponent",))])
+def test_count_both_disagreement_exits_1(monkeypatch, capsys, fake, extra):
+    monkeypatch.setattr(cli_mod, "count_by_contraction", fake)
+    code, out, err = run(
+        capsys, "count", "--p", "5", "--kind", "strict", "--method", "both", *extra,
+        "--builtin", "cycle:3",
+    )
+    doc = json.loads(out)
+    assert (code, err) == (1, "")
+    assert doc["agree"] is False
+    assert list(doc) == ["backtracking", "contraction", "agree"]
+    assert doc["backtracking"]["total"] == 4
 
 
 def test_count_by_exponent(capsys):

@@ -1,7 +1,8 @@
 import pytest
 
 import trivalent as tv
-from trivalent.numbering import BranchNumbering
+import trivalent.miura as miura_mod
+from trivalent.numbering import BranchNumbering, _built
 
 from oracles import naive_tripod_census, naive_tripod_strict_set, star
 
@@ -67,6 +68,16 @@ def test_miura_transform_rejects_foreign_branch():
         tv.miura_transform(m, a)
 
 
+def test_miura_transform_checks_edge_agreement():
+    # Built unchecked, so slot 1 of l1 is 3 where the involution gives 6;
+    # the vertex side is still strict: 1 + 2 + 5 = p + 1.
+    values = {("l1", 0): 1, ("l1", 1): 3, ("l2", 0): 2, ("l2", 1): 5, ("l3", 0): 5, ("l3", 1): 2}
+    a = _built(BranchNumbering, 7, values)
+    assert tv.is_strict(tv.tripod(), a)
+    with pytest.raises(RuntimeError, match=r"edge 'l1': branch images disagree \(0 vs 1\)"):
+        tv.miura_transform(tv.tripod(), a)
+
+
 def test_figure_fixture_values():
     m = tv.figure_tree()
     a = tv.figure_numbering()
@@ -115,6 +126,16 @@ def test_check_pp004(p):
     result = tv.check_pp004(p)
     assert result.holds
     assert result.counterexamples == ()
+
+
+def test_check_pp004_lists_counterexamples(monkeypatch):
+    monkeypatch.setattr(miura_mod, "mu_value", lambda p, m: 0)
+    result = tv.check_pp004(5)
+    assert not result.holds
+    # The image (0, 0, 0) is balanced, so exactly the non-strict triples fail.
+    strict = sum(flag for _, flag in tv.tripod_strict_set(5))
+    assert len(result.counterexamples) == 25 - strict
+    assert result.counterexamples[0] == {"triple": (0, 0, 1), "image": (0, 0, 0), "strict": False}
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))

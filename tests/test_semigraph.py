@@ -86,6 +86,19 @@ def test_validate_disconnected():
     assert any(c.name == "connected" and not c.passed for c in report.checks)
 
 
+def test_betti_rejects_disconnected():
+    m = MarkedSemiGraph(
+        SemiGraph(("a", "b"), (Edge("la", ("a", "a")), Edge("lb", ("b", "b")))), ()
+    )
+    with pytest.raises(tv.InvalidGraphError, match="connected"):
+        tv.betti(m)
+
+
+def test_cycle_with_legs_needs_a_vertex():
+    with pytest.raises(ValueError, match="n >= 1"):
+        tv.cycle_with_legs(0)
+
+
 def test_validate_marking_incomplete():
     g = tv.tripod().graph
     report = tv.validate(MarkedSemiGraph(g, ("l1", "l2")))
@@ -109,6 +122,8 @@ def test_structure_errors():
         SemiGraph(("v",), (Edge("e", ("v", "v")), Edge("e", ("v", OPEN))))
     with pytest.raises(StructureError):
         Edge("e", (OPEN, OPEN))
+    with pytest.raises(StructureError, match="exactly two ends"):
+        Edge("e", ("v",))
     with pytest.raises(StructureError):
         MarkedSemiGraph(SemiGraph(("v",), (Edge("e", ("v", "v")), Edge("l", ("v", OPEN)))), ("e",))
     with pytest.raises(StructureError):
