@@ -21,7 +21,9 @@ The checked statements:
 
 * the Miura transformation is edge-consistent on every strict
   numbering, its image is balanced, and radii transform componentwise
-  (``verify_miura``);
+  (``verify_miura``).  Unlike the other verifiers, it reads the
+  search's value tuples straight, through a layout of the graph built
+  once per call, and builds a numbering object only for a witness;
 
 * a worked five-leg tree with p = 11 behaves exactly as displayed
   (``verify_figure_vector``).
@@ -34,6 +36,7 @@ from dataclasses import asdict, dataclass
 from .miura import miura_transform, mu_value
 from .numbering import (
     BranchNumbering,
+    balanced_triple,
     check_prime,
     exponent_of,
     is_balanced,
@@ -42,7 +45,14 @@ from .numbering import (
     numbering_to_json_obj,
     radii_of,
 )
-from .search import EnumerationQuery, count, count_by_contraction, enumerate_numberings
+from .search import (
+    EnumerationQuery,
+    _getter,
+    _Problem,
+    count,
+    count_by_contraction,
+    enumerate_numberings,
+)
 from .semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, graph_type, reduced_loop
 
 
@@ -206,27 +216,82 @@ def verify_p048_structure(m: MarkedSemiGraph, p: int) -> TheoremReport:
     )
 
 
+class _MuTable(dict):
+    """``mu_value(p, x)`` by x, each read once, on first use: no table of
+    all p residues is built, so a large p costs nothing up front."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, x: int) -> int:
+        self[x] = y = mu_value(self.p, x)
+        return y
+
+
+def _exponent_reader(problem: _Problem):
+    """What ``exponent_of`` reads, the open branch values in marking
+    order, as a getter on a solution's branch values (see
+    ``verify_miura``)."""
+    n = len(problem.edges)
+    return _getter([ei + slot * n for ei, slot in problem.legs])
+
+
 def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
-    """Edge consistency, balancedness and radii compatibility on every strict numbering."""
+    """Edge consistency, balancedness and radii compatibility on every strict numbering.
+
+    The checks read the search's value tuples directly.  A solution's
+    branch values are the tuple followed by p - x for each of its values
+    x: slot 0 of edge i at position i, slot 1 at n + i, for n edges.  The
+    positions each check reads are laid out once per call, and mu is read
+    through ``mu_value`` once per value seen.  A check fails with the
+    message the per-numbering path (``miura_transform``, ``is_balanced``,
+    then ``radii_of`` against ``exponent_of``) gives, and only a failing
+    solution is built into a numbering, for its witness.
+    """
     inputs = _inputs(m, p)
+    problem = _Problem(m, EnumerationQuery(p, "strict"))
+    n = len(problem.edges)
+    # Per vertex, the positions of its branch values, and of its edges'
+    # images (a self-loop's twice).
+    branch_at = [tuple(ei + slot * n for ei, slot in bs) for bs in problem.vertex_branches]
+    edge_at = [tuple(ei for ei, _ in bs) for bs in problem.vertex_branches]
+    radii = _getter([ei for ei, _ in problem.legs])
+    exponent = _exponent_reader(problem)
+    total = p + 1
+    mu = _MuTable(p).__getitem__
+
+    def error_of(sol: tuple[int, ...]) -> str | None:
+        branch = sol + tuple([p - x for x in sol])
+        if 0 in branch:
+            return "miura_transform requires a strict branch numbering"
+        for a, b, c in branch_at:
+            if branch[a] + branch[b] + branch[c] != total:
+                return "miura_transform requires a strict branch numbering"
+        # The image of every branch value; an edge's image is its slot 0's.
+        image = tuple(map(mu, branch))
+        if image[:n] != image[n:]:
+            ei = next(i for i in range(n) if image[i] != image[n + i])
+            return (
+                f"edge {problem.edge_ids[ei]!r}: branch images disagree "
+                f"({image[ei]} vs {image[n + ei]})"
+            )
+        for a, b, c in edge_at:
+            if not balanced_triple(p, image[a], image[b], image[c]):
+                return "image is not balanced"
+        got, expected = radii(image), tuple(map(mu, exponent(branch)))
+        if got != expected:
+            return f"radii {list(got)} != transformed exponent {list(expected)}"
+        return None
+
     failures = []
     checked = 0
-    for numbering in enumerate_numberings(m, EnumerationQuery(p, "strict")):
+    for sol in problem.solutions():
         checked += 1
-        try:
-            image = miura_transform(m, numbering)
-        except (ValueError, RuntimeError) as exc:
-            error = str(exc)
-        else:
-            if is_balanced(m, image):
-                expected = tuple(mu_value(p, e) for e in exponent_of(m, numbering))
-                got = radii_of(m, image)
-                if got == expected:
-                    continue
-                error = f"radii {list(got)} != transformed exponent {list(expected)}"
-            else:
-                error = "image is not balanced"
-        failures.append({"numbering": numbering_to_json_obj(m, numbering), "error": error})
+        error = error_of(sol)
+        if error is not None:
+            numbering = problem.to_numbering(sol)
+            failures.append({"numbering": numbering_to_json_obj(m, numbering), "error": error})
     return TheoremReport(
         "miura",
         inputs,

@@ -1,17 +1,28 @@
 """Brute-force reference engines for the test suite.
 
-Everything here scans the raw assignment space directly off the graph
-structure, bypassing the predicates and both search engines, so that
-agreement is meaningful.  Only usable at desk scale.  ``random_graph``
+The engines' oracles scan the raw assignment space directly off the
+graph structure, bypassing the predicates and both search engines, so
+that agreement is meaningful.  Only usable at desk scale.  ``random_graph``
 draws the test graphs these oracles are run on, and ``relabelled_cycle``
 gives a graph whose edge ids test the JSON writers' escaping.
+``miura_loop`` is the Miura verifier's report built one numbering at a
+time through the public predicates.
 """
 
 import itertools
 from operator import itemgetter
 
-from trivalent.numbering import EdgeNumbering
+from trivalent.miura import miura_transform, mu_value
+from trivalent.numbering import (
+    EdgeNumbering,
+    exponent_of,
+    is_balanced,
+    numbering_to_json_obj,
+    radii_of,
+)
+from trivalent.search import EnumerationQuery, _Problem
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, cycle_with_legs, validate
+from trivalent.verify import TheoremReport, _inputs
 
 
 def random_graph(rng, max_vertices=5, min_vertices=1):
@@ -226,3 +237,40 @@ def product_vertex_table(m, p, kind, v, constraint=None, fold_legs=False):
             row = tuple(combo[i] for i in kept)
             rows[row] = rows.get(row, 0) + 1
     return tuple(scope[i] for i in kept), rows
+
+
+def miura_loop(m, p):
+    """Reference for ``verify_miura``: each strict numbering is built from
+    its search solution and put through ``miura_transform``,
+    ``is_balanced``, then ``radii_of`` against the ``mu_value`` of
+    ``exponent_of``; a failure's witness is the numbering's JSON and the
+    first error."""
+    inputs = _inputs(m, p)
+    problem = _Problem(m, EnumerationQuery(p, "strict"))
+    failures = []
+    checked = 0
+    for sol in problem.solutions():
+        checked += 1
+        numbering = problem.to_numbering(sol)
+        try:
+            image = miura_transform(m, numbering)
+        except (ValueError, RuntimeError) as exc:
+            error = str(exc)
+        else:
+            if is_balanced(m, image):
+                expected = tuple(mu_value(p, e) for e in exponent_of(m, numbering))
+                got = radii_of(m, image)
+                if got == expected:
+                    continue
+                error = f"radii {list(got)} != transformed exponent {list(expected)}"
+            else:
+                error = "image is not balanced"
+        failures.append({"numbering": numbering_to_json_obj(m, numbering), "error": error})
+    return TheoremReport(
+        "miura",
+        inputs,
+        claim="every strict numbering maps to a balanced numbering, radii componentwise",
+        observed=f"{checked} numberings checked, {len(failures)} failures",
+        passed=not failures,
+        witness=tuple(failures),
+    )

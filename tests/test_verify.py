@@ -1,13 +1,19 @@
 import json
+import random
+import time
 
 import pytest
 
+import oracles
 import trivalent as tv
+import trivalent.miura as miura_mod
+import trivalent.numbering as numbering_mod
 import trivalent.semigraph as semigraph_mod
 import trivalent.verify as verify_mod
+from oracles import miura_loop, random_graph, relabelled_cycle
 from trivalent.cli import main
-from trivalent.numbering import BranchNumbering
-from trivalent.search import CensusReport
+from trivalent.numbering import BranchNumbering, numbering_from_json_obj
+from trivalent.search import CensusReport, _Problem
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
 GENUS_ONE = [
@@ -123,18 +129,43 @@ def test_failure_carries_witness(monkeypatch):
 
 
 def test_miura_failure_carries_witness(monkeypatch):
-    def broken(m, a):
-        raise RuntimeError("induced failure")
-
-    monkeypatch.setattr(verify_mod, "miura_transform", broken)
+    # mu_value is the verifier's one reader of the map; break it on odd values
+    monkeypatch.setattr(verify_mod, "mu_value", odd_mu)
     report = tv.verify_miura(tv.loop_with_leg(), 5)
     assert not report.passed
-    assert report.witness and "induced failure" in report.witness[0]["error"]
+    assert report.witness and "branch images disagree" in report.witness[0]["error"]
     # the witness numbering replays through the public predicates
-    from trivalent.numbering import numbering_from_json_obj
-
     replayed = numbering_from_json_obj(report.witness[0]["numbering"])
     assert tv.is_strict(tv.loop_with_leg(), replayed)
+
+
+MIURA_GRAPHS = {
+    **{name: getattr(tv, name) for name in ("tripod", "theta", "dumbbell", "loop_with_leg")},
+    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in range(1, 7)},
+    "figure_tree": tv.figure_tree,
+    "relabelled_cycle": relabelled_cycle,
+    **{f"random{seed}": (lambda seed=seed: random_graph(random.Random(seed))) for seed in range(30)},
+}
+
+
+@pytest.mark.parametrize("p", (5, 7, 11, 13))
+@pytest.mark.parametrize("name", MIURA_GRAPHS)
+def test_miura_matches_per_numbering_loop(name, p):
+    m = MIURA_GRAPHS[name]()
+    report = tv.verify_miura(m, p)
+    assert report.passed
+    assert report.to_json_obj() == miura_loop(m, p).to_json_obj()
+
+
+def test_miura_at_large_p_reads_no_residue_table(capsys):
+    # Genus 2 has no strict numbering, so only an O(p) table of mu could
+    # make this slow.
+    start = time.perf_counter()
+    code = main(["verify", "miura", "--builtin", "theta", "--p", str(2**61 - 1)])
+    elapsed = time.perf_counter() - start
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["observed"] == "0 numberings checked, 0 failures"
+    assert elapsed < 1
 
 
 def test_structure_check_details():
@@ -184,6 +215,7 @@ def test_off_loop_multiset():
 
 real_enumerate = verify_mod.enumerate_numberings
 real_mu_value = verify_mod.mu_value
+real_exponent_reader = verify_mod._exponent_reader
 
 
 def shifted(edge_id):
@@ -224,6 +256,100 @@ def all_entries(keys, check):
         assert w and all(list(entry) == keys and check(entry) for entry in w)
 
     return shape
+
+
+class NonStrictProblem(_Problem):
+    """The search with each solution's last edge value x moved to
+    x mod (p - 1) + 1, which breaks the vertex sums at that edge's ends
+    unless it is a self-loop."""
+
+    def solutions(self):
+        p = self.p
+        for sol in super().solutions():
+            yield sol[:-1] + (sol[-1] % (p - 1) + 1,)
+
+
+class ZeroFirstProblem(_Problem):
+    """The search with each solution's first edge value set to 0, so its
+    slot values are 0 and p; a self-loop's still add up to p."""
+
+    def solutions(self):
+        for sol in super().solutions():
+            yield (0,) + sol[1:]
+
+
+def odd_mu(p, m):
+    """mu_value, one more on odd values: an edge's two slot values, x and
+    p - x, then have images one apart."""
+    return real_mu_value(p, m) + m % 2
+
+
+def never(p, m1, m2, m3):
+    return False
+
+
+def lowered_exponent_reader(problem):
+    """The verifier's exponent reader with each entry one less."""
+    read = real_exponent_reader(problem)
+    return lambda branch: tuple(e - 1 for e in read(branch))
+
+
+# One mutation per Miura check, two for strictness (vertex sums, then a
+# zero, which on loop_with_leg only the nonzero test sees): the names it
+# replaces in trivalent.verify, then the (module, name, value) patches
+# that make the per-numbering reference loop (oracles.miura_loop) fail
+# the same way.
+MIURA_MUTATIONS = {
+    "miura-strict": (
+        {"_Problem": NonStrictProblem},
+        [(oracles, "_Problem", NonStrictProblem)],
+    ),
+    "miura-zero": (
+        {"_Problem": ZeroFirstProblem},
+        [(oracles, "_Problem", ZeroFirstProblem)],
+    ),
+    "miura-edge": (
+        {"mu_value": odd_mu},
+        [(miura_mod, "mu_value", odd_mu), (oracles, "mu_value", odd_mu)],
+    ),
+    "miura-unbalanced": (
+        {"balanced_triple": never},
+        [(numbering_mod, "balanced_triple", never)],
+    ),
+    "miura-radii": (
+        {"_exponent_reader": lowered_exponent_reader},
+        [(oracles, "exponent_of", lambda m, a: tuple(e - 1 for e in tv.exponent_of(m, a)))],
+    ),
+}
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("mutation", MIURA_MUTATIONS)
+def test_miura_failures_match_per_numbering_loop(mutation, p, monkeypatch):
+    verify_patches, loop_patches = MIURA_MUTATIONS[mutation]
+    for name, value in verify_patches.items():
+        monkeypatch.setattr(verify_mod, name, value)
+    for module, name, value in loop_patches:
+        monkeypatch.setattr(module, name, value)
+    failed = 0
+    for build in MIURA_GRAPHS.values():
+        m = build()
+        report = tv.verify_miura(m, p)
+        assert report.to_json_obj() == miura_loop(m, p).to_json_obj()
+        failed += not report.passed
+    assert failed
+
+
+def miura_witness(error, strict=True):
+    """Every entry holds a loop_with_leg numbering and an error passing
+    ``error``; the numbering replays through numbering_from_json_obj,
+    strict unless the search's tuple was not."""
+
+    def entry(e):
+        replayed = numbering_from_json_obj(e["numbering"])
+        return error(e["error"]) and tv.is_strict(tv.loop_with_leg(), replayed) == strict
+
+    return all_entries(["numbering", "error"], entry)
 
 
 FAILURES = {
@@ -270,15 +396,28 @@ FAILURES = {
         and sorted(w[0]["loop_constants"]) == [1, 1, 2, 2, 3, 3, 4, 4]
         and len(w) == 1,
     ),
-    "miura-unbalanced": (
-        {"is_balanced": lambda m, a: False},
+    "miura-strict": (
+        MIURA_MUTATIONS["miura-strict"][0],
         ["miura", "--builtin", "loop_with_leg", "--p", "5"],
-        all_entries(["numbering", "error"], lambda e: e["error"] == "image is not balanced"),
+        miura_witness(
+            lambda error: error == "miura_transform requires a strict branch numbering",
+            strict=False,
+        ),
+    ),
+    "miura-edge": (
+        MIURA_MUTATIONS["miura-edge"][0],
+        ["miura", "--builtin", "loop_with_leg", "--p", "5"],
+        miura_witness(lambda error: error.startswith("edge 'loop': branch images disagree (")),
+    ),
+    "miura-unbalanced": (
+        MIURA_MUTATIONS["miura-unbalanced"][0],
+        ["miura", "--builtin", "loop_with_leg", "--p", "5"],
+        miura_witness(lambda error: error == "image is not balanced"),
     ),
     "miura-radii": (
-        {"mu_value": lambda p, m: real_mu_value(p, m) + 1},
+        MIURA_MUTATIONS["miura-radii"][0],
         ["miura", "--builtin", "loop_with_leg", "--p", "5"],
-        all_entries(["numbering", "error"], lambda e: e["error"] == "radii [0] != transformed exponent [1]"),
+        miura_witness(lambda error: error == "radii [0] != transformed exponent [1]"),
     ),
     "figure-involution": (
         {"is_branch_numbering": lambda m, p, values: False},
