@@ -9,30 +9,36 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
 * ``enumerate_numberings``, ``enumerate_lines`` (the JSON lines of the
   same stream, for the CLI) and ``count`` run a depth-first backtracking
   search.  Edges are branched in declaration order with values
-  ascending, and whenever a vertex determines its last free edge that
-  value is propagated before further branching, so the stream is
-  deterministic and lexicographic in the declared edge order.  Open
-  branch points live on an explicit stack of (edge, next value, top
-  value, trail mark) frames, so the number of edges is not bounded by
-  Python's recursion limit.
+  ascending, so the stream is deterministic and lexicographic in the
+  declared edge order.
 
   The search reads each kind's vertex condition in one place, its
   window (``_Problem.strict_window``, ``_Problem.balanced_window``): at
   an end of an edge, the interval of values the end's vertex admits on
-  that edge, given the values known so far.  A strict self-loop adds p
-  whatever its value, so it has no end.  The window does three jobs.
-  An edge is branched over the intersection of its ends' windows,
-  clipped to the domain.  A seeded, pinned or forced value is checked
-  against the window at each end but the one that forced it; a
-  branched value lies in every window of its edge already.  And a
-  vertex left with one free edge forces that edge's window when it is
-  a single value, and fails when it is empty.
+  that edge, given the values of some of its other edges.  A strict
+  self-loop adds p whatever its value, so it has no end.
+
+  Which edges are known at each depth does not depend on the values, so
+  ``_Problem.plan`` compiles the search once per query, with each window
+  rule listing only the known terms.  The seeded and pinned values come
+  first, then one level per branched edge.  A level's edge is branched
+  over the intersection of its ends' windows, clipped to the domain, so
+  it needs no check.  A strict vertex left with one free edge forces it,
+  and a vertex that a forced, seeded or pinned value fills is checked;
+  those steps follow the value that sets them off, and a forced edge
+  gets no level.  Whether a balanced window is one value depends on the
+  values, so a balanced edge keeps its level; once all its ends are
+  full, a step works out its interval, and an interval of one value
+  passes the level over.  ``_Problem.solutions`` walks the plan with a
+  stack of the levels that have values left to try.  A level's value is
+  read only at that level and below, so going back needs no undo, and
+  the number of edges is not bounded by Python's recursion limit.
 
   Summing the strict condition over all vertices, each internal edge
   adds x + (p - x) = p and each leg its inner value, so the inner leg
   values add up to r - (p-2)(g-1), each at least 1.  So a strict search
   at genus >= 2 returns before assigning anything, and at genus 1 it
-  pins every inner leg value to 1 after the seeds.  Neither the windows
+  pins every inner leg value to 1 beside the seeds.  Neither the windows
   nor the pin drop a numbering, so the stream is the full one.
   ``count_by_contraction`` and the test oracles use neither, so they
   still check the genus statements independently.
@@ -182,36 +188,30 @@ class _Problem:
     # -- vertex windows -----------------------------------------------------
 
     def strict_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
-        """The part of lo..hi a strict vertex admits on an end's edge, given
-        ``values`` (an edge value or None per edge index).
+        """The part of lo..hi a strict vertex admits on an end's edge.
 
-        ``rule`` is (slot, total, others): the edge's slot, what the terms
-        add up to and the other terms (edge index, slot).  With k free
-        others, each in 1..p-1, the edge's term lies in
-        [need - k(p-1), need - k], ``need`` being the total less the known
-        terms; a slot-1 term is p - x.
+        ``rule`` is (slot, total, known, k): the edge's slot, what the
+        vertex's terms add up to, the other terms whose values are known
+        (edge index, slot) and the number k of free ones.  With ``need``
+        the total less the known terms, and each free term in 1..p-1, the
+        edge's term lies in [need - k(p-1), need - k]; a slot-1 term is
+        p - x.
         """
         p = self.p
-        slot, need, others = rule
-        k = 0
-        for ej, s in others:
-            y = values[ej]
-            if y is None:
-                k += 1
-            else:
-                need -= p - y if s else y
+        slot, need, known, k = rule
+        for ej, s in known:
+            need -= p - values[ej] if s else values[ej]
         a, b = need - k * (p - 1), need - k
         if slot:
             a, b = p - b, p - a
         return (a if a > lo else lo), (b if b < hi else hi)
 
     def balanced_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
-        """The part of lo..hi a balanced vertex admits on an end's edge, given
-        ``values`` (an edge value or None per edge index).
+        """The part of lo..hi a balanced vertex admits on an end's edge.
 
-        ``rule`` holds the other values of the vertex's triple: one edge
-        when the edge is a self-loop, two otherwise.  Only a full triple
-        can fail: beside a and b the edge lies in
+        ``rule`` holds the other values of the vertex's triple, all known:
+        one edge when the edge is a self-loop, two otherwise.  Only a full
+        triple can fail: beside a and b the edge lies in
         [|a - b|, min(a + b, p - 2 - a - b)], and as a self-loop beside s
         in [(s+1)//2, (p-2-s)//2].  Every value is at most (p - 3) / 2, so
         neither interval is ever empty.
@@ -219,30 +219,43 @@ class _Problem:
         p = self.p
         if len(rule) == 1:
             s = values[rule[0]]
-            if s is None:
-                return lo, hi
             a, b = (s + 1) // 2, (p - 2 - s) // 2
         else:
             c, d = values[rule[0]], values[rule[1]]
-            if c is None or d is None:
-                return lo, hi
             a, b = abs(c - d), min(c + d, p - 2 - c - d)
         return (a if a > lo else lo), (b if b < hi else hi)
 
-    # -- depth-first search -------------------------------------------------
+    # -- search plan --------------------------------------------------------
 
-    def solutions(self) -> Iterator[tuple[int, ...]]:
-        """Complete assignments as value tuples in edge declaration order."""
-        # Summed over all vertices, the strict condition gives inner leg
-        # values adding up to r - (p - 2)(g - 1), each at least 1: none
-        # exist at genus >= 2, and at genus 1 every one is 1, which is
-        # pinned after the seeds (a seed that disagrees ends the search).
-        if not self.feasible or (self.strict and self.genus >= 2):
-            return
-        # The backtracker's graph form: per edge, one end per vertex whose
-        # condition reads it, as (vertex, rule, the (edge, rule) pairs of
-        # the vertex's other edges).  A rule is what the kind's window
-        # reads; ``rules`` holds a vertex's (edge, rule) pairs.
+    def plan(self):
+        """The search compiled once per query: (values, root, levels), or
+        None when a seed contradicts the strict genus-1 pin.
+
+        ``values`` holds the seeded and pinned values (None elsewhere) and
+        ``root`` the steps that follow them.  ``levels`` has one
+        (edge, windows, steps) per branched edge, in declaration order: the
+        window rules its values are drawn from, then the steps its value
+        sets off.  Which edges are known at each depth does not depend on
+        the values, so each rule lists only the known terms.
+
+        A step is (edge, check, windows, settle).  It reads the interval
+        the windows leave of the domain, or of the edge's own value when
+        ``check`` is set; an empty one fails the branch.  Otherwise the
+        edge takes the low end: the value a strict vertex forces, or the
+        first value of a balanced edge whose ends are all full.  With
+        ``settle``, an interval of one value passes the edge's level over.
+        """
+        values = [self.seeds.get(ei) for ei in range(len(self.edges))]
+        if self.strict and self.genus == 1:
+            pinned = self.read_legs((self.p - 1,) * len(self.legs))
+            for (ei, _), x in zip(self.legs, pinned):
+                if values[ei] not in (None, x):
+                    return None
+                values[ei] = x
+        # Per edge, one end per vertex whose condition reads it, as (vertex,
+        # rule, the (edge, rule) pairs of the vertex's other edges): strict,
+        # a rule is (slot, total, other terms), balanced the other values
+        # of the triple.
         ends: list[list[tuple]] = [[] for _ in self.edges]
         for v, branches in enumerate(self.vertex_branches):
             if self.strict:
@@ -262,111 +275,119 @@ class _Problem:
                 ]
             for i, (ei, rule) in enumerate(rules):
                 ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
-        n = len(self.edges)
-        values: list[int | None] = [None] * n
-        trail: list[int] = []
+
+        known = [x is not None for x in values]
+        full = [False] * len(self.vertex_branches)
+
+        def window(rule):
+            """An end's rule as its window reads it, given what is known;
+            None when the window is the whole domain, as a balanced one is
+            while a value of the triple is free, and a strict one with both
+            other terms free."""
+            if not self.strict:
+                return rule if all(known[ej] for ej in rule) else None
+            slot, total, terms = rule
+            k = sum(not known[ej] for ej, _ in terms)
+            return (slot, total, tuple(t for t in terms if known[t[0]]), k) if k < 2 else None
+
+        def learn(ei: int, branched: bool) -> list:
+            """Mark ``ei`` known and return the steps that follow.
+
+            A vertex is full once it has at most one free edge: a strict
+            vertex forces that edge, and a balanced edge is settled once
+            all its ends are full.  A forced or fixed value is checked at
+            each vertex it fills but the one that forced it; a branched
+            value lies in every window of its edge already."""
+            known[ei] = True
+            queue, steps = [ei], []
+            while queue:
+                e0 = queue.pop()
+                for v, rule, others in ends[e0]:
+                    free = [(e1, rule1) for e1, rule1 in others if not known[e1]]
+                    if full[v] or len(free) > 1:
+                        continue
+                    full[v] = True
+                    if not free:
+                        if not branched:
+                            steps.append((e0, True, (window(rule),), False))
+                        continue
+                    ((e1, rule1),) = free
+                    if self.strict:
+                        known[e1] = True
+                        steps.append((e1, False, (window(rule1),), False))
+                        queue.append(e1)
+                    elif all(full[w] for w, _, _ in ends[e1]):
+                        steps.append((e1, False, tuple(window(r) for _, r, _ in ends[e1]), True))
+                branched = False
+            return steps
+
+        root = []
+        for ei, x in enumerate(values):
+            if x is not None:
+                root += learn(ei, False)
+        levels = []
+        for ei in range(len(self.edges)):
+            if known[ei]:
+                continue
+            windows = tuple(filter(None, [window(r) for _, r, _ in ends[ei]]))
+            levels.append((ei, windows, learn(ei, True)))
+        return values, root, levels
+
+    def solutions(self) -> Iterator[tuple[int, ...]]:
+        """Complete assignments as value tuples in edge declaration order."""
+        # Summed over all vertices, the strict condition gives inner leg
+        # values adding up to r - (p - 2)(g - 1), each at least 1: none
+        # exist at genus >= 2, and at genus 1 every one is 1.
+        if not self.feasible or (self.strict and self.genus >= 2):
+            return
+        plan = self.plan()
+        if plan is None:
+            return
+        values, root, levels = plan
         window = self.strict_window if self.strict else self.balanced_window
         first, last = self.domain[0], self.domain[-1]
-
-        def undo(mark: int):
-            while len(trail) > mark:
-                values[trail.pop()] = None
-
-        def try_assign(ei: int, x: int, check: bool = True) -> int:
-            """Assign and propagate; trail mark on success, -1 on contradiction.
-
-            ``check=False`` says ``x`` lies in every window of ``ei``, as a
-            branched value does."""
-            mark = len(trail)
-            queue = [(ei, x, -1)]
-            while queue:
-                e0, x0, source = queue.pop()
-                if values[e0] is not None:
-                    if values[e0] != x0:
-                        undo(mark)
-                        return -1
-                    continue
-                values[e0] = x0
-                trail.append(e0)
-                for v, rule, others in ends[e0]:
-                    # A forced value lies in the window of the vertex that
-                    # forced it, and that vertex has no free edge left.
-                    if v == source:
-                        continue
-                    # The vertex's one free other edge; () when two are.
-                    free = None
-                    for end in others:
-                        if values[end[0]] is None:
-                            free = end if free is None else ()
-                    if free:
-                        # The vertex admits x0 exactly when it leaves its
-                        # last free edge some value, so this window also
-                        # checks x0.
-                        e1, rule1 = free
-                        lo, hi = window(rule1, values, first, last)
-                        if lo == hi:
-                            queue.append((e1, lo, v))
-                    elif check:
-                        lo, hi = window(rule, values, x0, x0)
-                    else:
-                        continue
-                    if lo > hi:
-                        undo(mark)
-                        return -1
-                check = True  # every later value is forced
-            return mark
-
-        for ei, x in self.seeds.items():
-            if try_assign(ei, x) < 0:
-                return
-        if self.strict and self.genus == 1:
-            pinned = self.read_legs((self.p - 1,) * len(self.legs))
-            for (ei, _), x in zip(self.legs, pinned):
-                if try_assign(ei, x) < 0:
-                    return
-
-        def next_free(ei: int) -> int:
-            while ei < n and values[ei] is not None:
-                ei += 1
-            return ei
-
-        def admitted(ei: int) -> tuple[int, int]:
-            """The interval every end of ``ei`` admits, within the domain."""
-            lo, hi = first, last
-            for _, rule, _ in ends[ei]:
-                lo, hi = window(rule, values, lo, hi)
-            return lo, hi
-
-        # Branch on the first free edge, over the values every end of it
-        # admits.  Every edge before it is assigned and stays so until its
-        # frame is popped, so the next free edge is searched from the one
-        # just branched on.  A frame is (edge, next value, top value, trail
-        # mark of the value being explored); undoing to the mark restores
-        # the state the interval [next value, top] was read from.
-        ei = next_free(0)
-        if ei == n:
-            yield tuple(values)
-            return
-        x, top = admitted(ei)
-        stack: list[tuple[int, int, int, int]] = []
+        # Per level, whether a step settled its edge to one value, so that
+        # the level is passed over.  The last entry stands for the end.
+        passed = [False] * (len(levels) + 1)
+        level_of = {ei: d for d, (ei, _, _) in enumerate(levels)}
+        # Values are tried in ascending order at each level, so the stream
+        # is lexicographic in declaration order.  A level's value is read
+        # only at that level and below, so going back needs no undo: the
+        # stack holds the levels with values left to try, as (depth, next
+        # value, top value).  The root is depth -1, with no values to try
+        # and the fixed values' steps.
+        d, x, top, steps = -1, 0, -1, root
+        stack: list[tuple[int, int, int]] = []
         while True:
-            while x <= top:
-                mark = try_assign(ei, x, False)
-                x += 1
-                if mark < 0:
-                    continue
-                nxt = next_free(ei + 1)
-                if nxt == n:
+            for e1, check, windows, settle in steps:
+                lo, hi = (values[e1], values[e1]) if check else (first, last)
+                for rule in windows:
+                    lo, hi = window(rule, values, lo, hi)
+                if lo > hi:
+                    break
+                values[e1] = lo
+                if settle:
+                    passed[level_of[e1]] = lo == hi
+            else:
+                nxt = d + 1
+                while passed[nxt]:
+                    nxt += 1
+                if nxt == len(levels):
                     yield tuple(values)
-                    undo(mark)
                 else:
-                    stack.append((ei, x, top, mark))
-                    ei = nxt
-                    x, top = admitted(ei)
-            if not stack:
-                return
-            ei, x, top, mark = stack.pop()
-            undo(mark)
+                    if x <= top:
+                        stack.append((d, x, top))
+                    d = nxt
+                    x, top = first, last
+                    for rule in levels[d][1]:
+                        x, top = window(rule, values, x, top)
+            while x > top:
+                if not stack:
+                    return
+                d, x, top = stack.pop()
+            ei, _, steps = levels[d]
+            values[ei] = x
+            x += 1
 
     def to_numbering(self, sol) -> BranchNumbering | EdgeNumbering:
         if self.strict:

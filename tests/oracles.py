@@ -6,11 +6,13 @@ that agreement is meaningful.  Only usable at desk scale.  ``random_graph``
 draws the test graphs these oracles are run on, and ``relabelled_cycle``
 gives a graph whose edge ids test the JSON writers' escaping.
 ``miura_loop`` is the Miura verifier's report built one numbering at a
-time through the public predicates.
+time through the public predicates, and ``ReferenceProblem`` a
+backtracker that derives the search plan's work node by node.
 """
 
 import itertools
 from operator import itemgetter
+from typing import Iterator
 
 from trivalent.miura import miura_transform, mu_value
 from trivalent.numbering import (
@@ -274,3 +276,196 @@ def miura_loop(m, p):
         passed=not failures,
         witness=tuple(failures),
     )
+
+
+class ReferenceProblem(_Problem):
+    """Reference for the search plan: a backtracker with a trail and a
+    queue, which works out at every node which edges are forced and which
+    windows to read, where ``_Problem.plan`` does so once per query.  It
+    must yield the same tuples in the same order.  Its windows take rules
+    that scan a vertex's other edges for unassigned (None) values."""
+
+    def strict_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
+        """The part of lo..hi a strict vertex admits on an end's edge, given
+        ``values`` (an edge value or None per edge index).
+
+        ``rule`` is (slot, total, others): the edge's slot, what the terms
+        add up to and the other terms (edge index, slot).  With k free
+        others, each in 1..p-1, the edge's term lies in
+        [need - k(p-1), need - k], ``need`` being the total less the known
+        terms; a slot-1 term is p - x.
+        """
+        p = self.p
+        slot, need, others = rule
+        k = 0
+        for ej, s in others:
+            y = values[ej]
+            if y is None:
+                k += 1
+            else:
+                need -= p - y if s else y
+        a, b = need - k * (p - 1), need - k
+        if slot:
+            a, b = p - b, p - a
+        return (a if a > lo else lo), (b if b < hi else hi)
+
+    def balanced_window(self, rule, values, lo: int, hi: int) -> tuple[int, int]:
+        """The part of lo..hi a balanced vertex admits on an end's edge, given
+        ``values`` (an edge value or None per edge index).
+
+        ``rule`` holds the other values of the vertex's triple: one edge
+        when the edge is a self-loop, two otherwise.  Only a full triple
+        can fail: beside a and b the edge lies in
+        [|a - b|, min(a + b, p - 2 - a - b)], and as a self-loop beside s
+        in [(s+1)//2, (p-2-s)//2].  Every value is at most (p - 3) / 2, so
+        neither interval is ever empty.
+        """
+        p = self.p
+        if len(rule) == 1:
+            s = values[rule[0]]
+            if s is None:
+                return lo, hi
+            a, b = (s + 1) // 2, (p - 2 - s) // 2
+        else:
+            c, d = values[rule[0]], values[rule[1]]
+            if c is None or d is None:
+                return lo, hi
+            a, b = abs(c - d), min(c + d, p - 2 - c - d)
+        return (a if a > lo else lo), (b if b < hi else hi)
+
+    def solutions(self) -> Iterator[tuple[int, ...]]:
+        """Complete assignments as value tuples in edge declaration order."""
+        # Summed over all vertices, the strict condition gives inner leg
+        # values adding up to r - (p - 2)(g - 1), each at least 1: none
+        # exist at genus >= 2, and at genus 1 every one is 1, which is
+        # pinned after the seeds (a seed that disagrees ends the search).
+        if not self.feasible or (self.strict and self.genus >= 2):
+            return
+        # The backtracker's graph form: per edge, one end per vertex whose
+        # condition reads it, as (vertex, rule, the (edge, rule) pairs of
+        # the vertex's other edges).  A rule is what the kind's window
+        # reads; ``rules`` holds a vertex's (edge, rule) pairs.
+        ends: list[list[tuple]] = [[] for _ in self.edges]
+        for v, branches in enumerate(self.vertex_branches):
+            if self.strict:
+                # A self-loop's branches add up to p whatever its value, so
+                # it has no end and the vertex's one other branch reads 1.
+                terms = [b for b in branches if not self.edges[b[0]].is_loop]
+                total = self.p + 1 if len(terms) == 3 else 1
+                rules = [
+                    (ei, (slot, total, tuple(terms[:i] + terms[i + 1:])))
+                    for i, (ei, slot) in enumerate(terms)
+                ]
+            else:
+                # The other values of the triple, a self-loop's twice.
+                triple = [ei for ei, _ in branches]
+                rules = [
+                    (ei, tuple([e for e in triple if e != ei])) for ei in dict.fromkeys(triple)
+                ]
+            for i, (ei, rule) in enumerate(rules):
+                ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
+        n = len(self.edges)
+        values: list[int | None] = [None] * n
+        trail: list[int] = []
+        window = self.strict_window if self.strict else self.balanced_window
+        first, last = self.domain[0], self.domain[-1]
+
+        def undo(mark: int):
+            while len(trail) > mark:
+                values[trail.pop()] = None
+
+        def try_assign(ei: int, x: int, check: bool = True) -> int:
+            """Assign and propagate; trail mark on success, -1 on contradiction.
+
+            ``check=False`` says ``x`` lies in every window of ``ei``, as a
+            branched value does."""
+            mark = len(trail)
+            queue = [(ei, x, -1)]
+            while queue:
+                e0, x0, source = queue.pop()
+                if values[e0] is not None:
+                    if values[e0] != x0:
+                        undo(mark)
+                        return -1
+                    continue
+                values[e0] = x0
+                trail.append(e0)
+                for v, rule, others in ends[e0]:
+                    # A forced value lies in the window of the vertex that
+                    # forced it, and that vertex has no free edge left.
+                    if v == source:
+                        continue
+                    # The vertex's one free other edge; () when two are.
+                    free = None
+                    for end in others:
+                        if values[end[0]] is None:
+                            free = end if free is None else ()
+                    if free:
+                        # The vertex admits x0 exactly when it leaves its
+                        # last free edge some value, so this window also
+                        # checks x0.
+                        e1, rule1 = free
+                        lo, hi = window(rule1, values, first, last)
+                        if lo == hi:
+                            queue.append((e1, lo, v))
+                    elif check:
+                        lo, hi = window(rule, values, x0, x0)
+                    else:
+                        continue
+                    if lo > hi:
+                        undo(mark)
+                        return -1
+                check = True  # every later value is forced
+            return mark
+
+        for ei, x in self.seeds.items():
+            if try_assign(ei, x) < 0:
+                return
+        if self.strict and self.genus == 1:
+            pinned = self.read_legs((self.p - 1,) * len(self.legs))
+            for (ei, _), x in zip(self.legs, pinned):
+                if try_assign(ei, x) < 0:
+                    return
+
+        def next_free(ei: int) -> int:
+            while ei < n and values[ei] is not None:
+                ei += 1
+            return ei
+
+        def admitted(ei: int) -> tuple[int, int]:
+            """The interval every end of ``ei`` admits, within the domain."""
+            lo, hi = first, last
+            for _, rule, _ in ends[ei]:
+                lo, hi = window(rule, values, lo, hi)
+            return lo, hi
+
+        # Branch on the first free edge, over the values every end of it
+        # admits.  Every edge before it is assigned and stays so until its
+        # frame is popped, so the next free edge is searched from the one
+        # just branched on.  A frame is (edge, next value, top value, trail
+        # mark of the value being explored); undoing to the mark restores
+        # the state the interval [next value, top] was read from.
+        ei = next_free(0)
+        if ei == n:
+            yield tuple(values)
+            return
+        x, top = admitted(ei)
+        stack: list[tuple[int, int, int, int]] = []
+        while True:
+            while x <= top:
+                mark = try_assign(ei, x, False)
+                x += 1
+                if mark < 0:
+                    continue
+                nxt = next_free(ei + 1)
+                if nxt == n:
+                    yield tuple(values)
+                    undo(mark)
+                else:
+                    stack.append((ei, x, top, mark))
+                    ei = nxt
+                    x, top = admitted(ei)
+            if not stack:
+                return
+            ei, x, top, mark = stack.pop()
+            undo(mark)

@@ -20,10 +20,12 @@ from trivalent.search import (
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
 
 from oracles import (
+    ReferenceProblem,
     naive_balanced,
     naive_strict,
     open_values_strict,
     product_vertex_table,
+    random_graph,
     relabelled_cycle,
 )
 
@@ -473,9 +475,10 @@ def test_exhaustive_exponent_scan_matches_oracle():
 
 
 def _window_reads(monkeypatch):
-    """A list that gets one entry per vertex window the backtracker reads,
-    True when the window is empty: a checked value it rejects, a last free
-    edge it leaves no value, or a branching edge left with no value."""
+    """A list that gets one entry per vertex window the search reads, True
+    when the window is empty: a checked value it rejects, a forced or
+    settled edge it leaves no value, or a branched edge left with no
+    value."""
     results = []
     for name in ("strict_window", "balanced_window"):
 
@@ -520,16 +523,83 @@ def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
     n = sum(1 for _ in enumerate_numberings(m, query))
     assert n == count_by_contraction(m, query).total > 0
     assert results and not any(results)
-    # Nor do propagated values clash: every assignment is a pin or lies on
-    # the way to a numbering, E at most per numbering.  An assignment reads
-    # at most one window at each of its two ends, and a branch point one
-    # per end of its edge.  Unpinned, strict cycle:4 at p=7 reads 257
-    # windows (bound 112).  Without forcing, the shuffled cycle:16 at p=7
-    # branches on its cycle edges in shuffled order, sees a clash only
-    # once a stretch of the cycle is full, and reads 394,254 windows
-    # (bound 448).
+    # Nor do forced values clash: every assignment is a pin or lies on the
+    # way to a numbering, E at most per numbering.  A forced or settled
+    # value reads at most one window at each of its two ends, and a branch
+    # point one per end of its edge.  Strict cycle:4 at p=7 reads 26
+    # windows; unpinned it reads 228 (bound 112).  The shuffled cycle:16
+    # at p=7 reads 98; without forcing it branches on its cycle edges in
+    # shuffled order, sees a clash only once a stretch of the cycle is
+    # full, and reads 231,722 (bound 448).
     edges = len(m.graph.edges)
     assert len(results) <= 2 * edges * (n + 1)
+
+
+# Streams longer than this are compared with the reference on their
+# first MAX_STREAM tuples.
+MAX_STREAM = 5_000
+PLAN_GRAPHS = {
+    **LINE_GRAPHS,
+    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in (7, 8)},
+    **{f"shuffled{n}": (lambda n=n: _shuffled_cycle(n)) for n in (8, 12, 16)},
+    # Genus 0, 17 edges declared in shuffled order: most branches fail.
+    "random1088": lambda: random_graph(random.Random(1088), max_vertices=8, min_vertices=6),
+}
+
+
+def _same_streams(m, kind, p, rng):
+    """The plan's value tuples against the reference search's, in order:
+    unconstrained, then under one drawn constraint, the legs of a drawn
+    solution or, when there is none, leg values drawn from 0..p-1."""
+    query = EnumerationQuery(p, kind)
+    expected = list(itertools.islice(ReferenceProblem(m, query).solutions(), MAX_STREAM))
+    assert list(itertools.islice(_Problem(m, query).solutions(), MAX_STREAM)) == expected
+    if not m.marking:
+        return
+    problem = _Problem(m, query)
+
+    def cell(sol):
+        return problem.read_legs(tuple(sol[ei] for ei, _ in problem.legs))
+
+    if expected:
+        constraint = cell(rng.choice(expected))
+    else:
+        constraint = tuple(rng.randrange(p) for _ in m.marking)
+    pinned = EnumerationQuery(p, kind, constraint=constraint)
+    expected = list(itertools.islice(ReferenceProblem(m, pinned).solutions(), MAX_STREAM))
+    assert list(itertools.islice(_Problem(m, pinned).solutions(), MAX_STREAM)) == expected
+    assert all(cell(sol) == constraint for sol in expected)
+
+
+PLAN_CASES = [
+    (name, kind, p) for name in PLAN_GRAPHS for kind in ("strict", "balanced") for p in (3, 5, 7)
+    if name != "random1088" or (kind, p) == ("strict", 5)
+]
+
+
+@pytest.mark.parametrize("name,kind,p", PLAN_CASES)
+def test_plan_streams_match_the_reference(name, kind, p):
+    _same_streams(PLAN_GRAPHS[name](), kind, p, random.Random(f"{name}:{kind}:{p}"))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+@pytest.mark.parametrize("seed", range(60))
+def test_plan_streams_match_the_reference_on_random_graphs(seed, kind, p):
+    _same_streams(random_graph(random.Random(seed)), kind, p, random.Random(seed))
+
+
+def test_balanced_forcing_passes_over_settled_levels(monkeypatch):
+    # Balanced cycle:1200 at p=5: a leg is settled once its two cycle
+    # edges are known, and when its window is one value its level is
+    # passed over.  The first 1,000 numberings read 2,641 windows.
+    # Without settling, each descent would read the window of every leg
+    # level it crosses: 270,164 reads.
+    m = tv.cycle_with_legs(1200)
+    results = _window_reads(monkeypatch)
+    lines = list(enumerate_lines(m, EnumerationQuery(5, "balanced", limit=1000)))
+    assert len(lines) == 1000
+    assert len(results) <= 2 * (len(m.graph.edges) + 1000)
 
 
 @pytest.mark.parametrize("name", ("theta", "dumbbell", "k4", "cube"))
@@ -537,9 +607,11 @@ def test_strict_search_at_genus_two_assigns_nothing(monkeypatch, name):
     m = CLOSED[name][1] if name in CLOSED else BUILDERS[name]()
     assert tv.graph_type(m).g >= 2
     results = _window_reads(monkeypatch)
+    planned = []
+    monkeypatch.setattr(_Problem, "plan", lambda self: planned.append(self))
     for p in (5, 7, 11):
         assert list(enumerate_numberings(m, EnumerationQuery(p, "strict"))) == []
-    assert results == []
+    assert results == [] and planned == []
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
