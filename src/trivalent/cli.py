@@ -57,8 +57,8 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
             return BUILTINS[name]()
         if name.startswith("cycle:"):
             n = name[len("cycle:"):]
-            if _is_integer(n) and int(n) >= 1:
-                return semigraph.cycle_with_legs(int(n))
+            if _is_integer(n) and (length := semigraph.parse_int(n)) >= 1:
+                return semigraph.cycle_with_legs(length)
             raise StructureError(f"bad builtin {name!r}")
         raise StructureError(f"unknown builtin {name!r}")
     if args.graph is None:
@@ -98,7 +98,7 @@ def _parse_constraint(raw: str | None):
     parts = raw.split(",")
     if not all(_is_integer(part) for part in parts):
         raise StructureError(f"--constraint must be comma-separated integers, got {raw!r}")
-    return tuple(int(part) for part in parts)
+    return tuple(semigraph.parse_int(part) for part in parts)
 
 
 def _emit(obj):

@@ -22,6 +22,7 @@ the object, so a graph serving many engine calls is checked once.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Iterator
@@ -522,12 +523,32 @@ def dumps_graph(m: MarkedSemiGraph) -> str:
 
 
 def parse_json(text: str):
-    """``json.loads``, with a document nested past the recursion limit
-    reported as malformed."""
+    """``json.loads``, with a document nested past the recursion limit, or
+    holding an integer past the interpreter's int-string limit, reported
+    as malformed."""
     try:
         return json.loads(text)
     except RecursionError:
         raise StructureError("JSON document is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # The one other ValueError json.loads raises on a str: int() refused
+        # a number with more digits than sys.get_int_max_str_digits().
+        raise _too_long() from None
+
+
+def parse_int(text: str) -> int:
+    """``int(text)`` for ASCII digits after at most one '-', with more digits
+    than the interpreter's int-string limit reported as malformed."""
+    try:
+        return int(text)
+    except ValueError:
+        raise _too_long() from None
+
+
+def _too_long() -> StructureError:
+    return StructureError(f"integer longer than {sys.get_int_max_str_digits()} digits")
 
 
 def loads_graph(text: str) -> MarkedSemiGraph:

@@ -2,12 +2,11 @@
 
 The engines' oracles scan the raw assignment space directly off the
 graph structure, bypassing the predicates and both search engines, so
-that agreement is meaningful.  Only usable at desk scale.  ``random_graph``
-draws the test graphs these oracles are run on, and ``relabelled_cycle``
-gives a graph whose edge ids test the JSON writers' escaping.
-``miura_loop`` is the Miura verifier's report built one numbering at a
-time through the public predicates, and ``ReferenceProblem`` a
-backtracker that derives the search plan's work node by node.
+that agreement is meaningful.  Only usable at desk scale.  The graphs
+they run on are named in ``corpus.py``.  ``miura_loop`` is the Miura
+verifier's report built one numbering at a time through the public
+predicates, and ``ReferenceProblem`` a backtracker that derives the
+search plan's work node by node.
 """
 
 import itertools
@@ -23,52 +22,7 @@ from trivalent.numbering import (
     radii_of,
 )
 from trivalent.search import EnumerationQuery, _Problem
-from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, cycle_with_legs, validate
 from trivalent.verify import TheoremReport, _inputs
-
-
-def random_graph(rng, max_vertices=5, min_vertices=1):
-    """A connected, stable 3-regular semi-graph on min_vertices..max_vertices
-    vertices.
-
-    Half-edges are paired at random, so self-loops and parallel edges
-    occur; the legs' open slots, the edge declaration order and the
-    marking are random too.  A draw that fails ``validate`` (disconnected
-    or unstable) is rejected and drawn again.  ``rng`` is a
-    ``random.Random``, so a seed fixes the graph.
-    """
-    n = rng.randint(min_vertices, max_vertices)
-    vertices = [f"v{i}" for i in range(n)]
-    while True:
-        stubs = [v for v in vertices for _ in range(3)]
-        rng.shuffle(stubs)
-        # 3n - r half-edges pair up, so the leg count r has the parity of n.
-        legs = rng.randrange(n % 2, 3 * n + 1, 2)
-        edges = []
-        for i in range(legs):
-            v = stubs.pop()
-            edges.append(Edge(f"l{i}", rng.choice([(v, OPEN), (OPEN, v)])))
-        while stubs:
-            edges.append(Edge(f"e{len(edges)}", (stubs.pop(), stubs.pop())))
-        rng.shuffle(edges)
-        marking = [e.id for e in edges if e.is_leg]
-        rng.shuffle(marking)
-        m = MarkedSemiGraph(SemiGraph(tuple(vertices), tuple(edges)), tuple(marking))
-        if validate(m).valid:
-            return m
-
-
-# Edge ids holding "%", a quote, a backslash, a non-ASCII letter, ".", a
-# lone surrogate and a newline, in place of cycle_with_legs(4)'s c1..c4, l1..l4.
-RELABELLED_IDS = ("c%1", 'c"2', "c\\3", "c\u00e94", "l.1", "l\ud8002", "l\n3", "%%d.l4")
-
-
-def relabelled_cycle():
-    """``cycle_with_legs(4)`` with its edges renamed to ``RELABELLED_IDS``."""
-    m = cycle_with_legs(4)
-    rename = dict(zip([e.id for e in m.graph.edges], RELABELLED_IDS))
-    edges = tuple(Edge(rename[e.id], e.ends) for e in m.graph.edges)
-    return MarkedSemiGraph(SemiGraph(m.graph.vertices, edges), [rename[i] for i in m.marking])
 
 
 def is_prime(n):

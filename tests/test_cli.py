@@ -11,6 +11,8 @@ import trivalent.cli as cli_mod
 import trivalent.semigraph as semigraph_mod
 from trivalent.cli import main
 
+from corpus import degree_two
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -41,13 +43,8 @@ def test_validate_builtin_validates_once(monkeypatch, capsys):
 
 
 def test_validate_failure_names_vertex(tmp_path, capsys):
-    doc = {
-        "vertices": ["a", "b"],
-        "edges": [{"id": "e", "ends": ["a", "b"]}, {"id": "l", "ends": ["a", None]}],
-        "marking": ["l"],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(tv.dumps_graph(degree_two()))
     code, out, _ = run(capsys, "validate", str(path))
     assert code == 1
     report = json.loads(out)
@@ -108,6 +105,29 @@ def test_malformed_inputs_exit_2(tmp_path, capsys):
         main(["count", "--p", "abc", "--kind", "strict", "--builtin", "tripod"])
     assert info.value.code == 2
     assert capsys.readouterr().err.endswith("error: argument --p: invalid int value: 'abc'\n")
+
+
+@pytest.fixture
+def digit_limit():
+    """int()'s limit on the digits of a string, set to 4300 for the test.
+    With the limit off, cycle:<digits> would build a graph that long."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys, digit_limit):
+    digits = "1" * (digit_limit + 1)
+    graph, numbering = tmp_path / "graph.json", tmp_path / "numbering.json"
+    graph.write_text(f'{{"vertices": [{digits}], "edges": [], "marking": []}}')
+    numbering.write_text(f'{{"p": {digits}, "kind": "strict", "branch_values": {{}}}}')
+    tripod = ["--p", "5", "--kind", "strict", "--builtin", "tripod"]
+    for argv in (["validate", str(graph)], ["miura", str(numbering), "--builtin", "tripod"],
+                 ["enumerate", *tripod, "--constraint", digits],
+                 ["count", "--p", "5", "--kind", "strict", "--builtin", f"cycle:{digits}"]):
+        message = f"error: integer longer than {digit_limit} digits\n"
+        assert run(capsys, *argv) == (2, "", message)
 
 
 TRIPOD = {"vertices": ["v"], "marking": ["a", "b", "c"],
@@ -442,13 +462,8 @@ def test_count_by_exponent(capsys):
 
 
 def test_count_invalid_graph_exits_1(tmp_path, capsys):
-    doc = {
-        "vertices": ["a", "b"],
-        "edges": [{"id": "e", "ends": ["a", "b"]}, {"id": "l", "ends": ["a", None]}],
-        "marking": ["l"],
-    }
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(tv.dumps_graph(degree_two()))
     assert run(capsys, "count", "--p", "5", "--kind", "strict", str(path))[0] == 1
 
 

@@ -4,6 +4,7 @@ import trivalent as tv
 import trivalent.miura as miura_mod
 from trivalent.numbering import BranchNumbering, _built
 
+from corpus import build
 from oracles import naive_tripod_census, naive_tripod_strict_set, star
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -92,8 +93,8 @@ def test_figure_fixture_values():
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_image_is_balanced_with_compatible_radii(p):
-    for build in (tv.tripod, tv.loop_with_leg, lambda: tv.cycle_with_legs(2), tv.figure_tree):
-        m = build()
+    for name in ("tripod", "loop_with_leg", "cycle2", "figure_tree"):
+        m = build(name)
         for a in tv.enumerate_numberings(m, tv.EnumerationQuery(p, "strict")):
             image = tv.miura_transform(m, a)
             assert tv.is_balanced(m, image)

@@ -4,7 +4,8 @@ import json
 import pytest
 
 import trivalent as tv
-from oracles import is_prime, numbering_document, relabelled_cycle
+from corpus import SMALL, build
+from oracles import is_prime, numbering_document
 from trivalent.numbering import BranchNumbering, EdgeNumbering, balanced_triple
 
 PRIMES = (3, 5, 7, 11, 13)
@@ -129,8 +130,8 @@ def test_balanced_self_loop_counts_twice():
 
 @pytest.mark.parametrize("p", (5, 7, 11))
 def test_strict_vertex_has_at_most_one_large_value(p):
-    for build in (tv.tripod, tv.loop_with_leg, lambda: tv.cycle_with_legs(2)):
-        m = build()
+    for name in ("tripod", "loop_with_leg", "cycle2"):
+        m = build(name)
         for a in tv.enumerate_numberings(m, tv.EnumerationQuery(p, "strict")):
             for v in m.graph.vertices:
                 big = [b for b in m.graph.branches_at[v] if a.values[b] >= (p + 1) // 2]
@@ -197,23 +198,7 @@ def test_dotted_edge_ids_survive_roundtrip():
 
 # -- both encoders write what a dict built by walking the graph writes --
 
-def escaping_tripod():
-    from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
-
-    ids = ('a%d"b', "\u00e9\u2713", "c\\d.e")
-    return MarkedSemiGraph(SemiGraph(("v",), tuple(Edge(i, ("v", OPEN)) for i in ids)), ids)
-
-
-DUMPS_GRAPHS = {
-    "tripod": tv.tripod,
-    "theta": tv.theta,
-    "dumbbell": tv.dumbbell,
-    "loop_with_leg": tv.loop_with_leg,
-    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in (1, 2, 3, 4)},
-    "figure_tree": tv.figure_tree,
-    "escaping_tripod": escaping_tripod,
-    "relabelled_cycle": relabelled_cycle,
-}
+DUMPS_GRAPHS = (*SMALL, "cycle4", "figure_tree", "escaping_tripod", "relabelled_cycle")
 
 
 def assert_dumps_matches_dict(m, numberings):
@@ -231,7 +216,7 @@ def assert_dumps_matches_dict(m, numberings):
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
 @pytest.mark.parametrize("name", DUMPS_GRAPHS)
 def test_dumps_matches_json_dumps_of_dict(name, kind, p):
-    m = DUMPS_GRAPHS[name]()
+    m = build(name)
     numberings = list(tv.enumerate_numberings(m, tv.EnumerationQuery(p, kind)))
     assert_dumps_matches_dict(m, numberings)
     for a in numberings:
@@ -239,7 +224,7 @@ def test_dumps_matches_json_dumps_of_dict(name, kind, p):
 
 
 def test_dumps_escapes_labels():
-    m = escaping_tripod()
+    m = build("escaping_tripod")
     strict = next(tv.enumerate_numberings(m, tv.EnumerationQuery(5, "strict")))
     line = tv.dumps_numbering(m, strict)
     assert '"a%d\\"b.0": ' in line and '"\\u00e9\\u2713.0": ' in line

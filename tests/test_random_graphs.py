@@ -2,7 +2,6 @@
 and the two engines against each other on graphs too large for the oracles."""
 
 import json
-import random
 from collections import Counter
 
 import pytest
@@ -16,22 +15,23 @@ from trivalent.search import (
     enumerate_lines,
 )
 
+from corpus import build
 from oracles import (
     naive_balanced,
     naive_strict,
     numbering_document,
     open_values_balanced,
     open_values_strict,
-    random_graph,
 )
 
 # The oracles scan all p^E assignments; larger spaces are skipped.
 MAX_SPACE = 300_000
 PRIMES = (3, 5, 7)
 SEEDS = range(30)
-# Graphs of 6-8 vertices: backtracking against contraction, at most
-# MAX_ENUMERATED numberings per query, cells too on at most MAX_CELL_LEGS
-# legs, and the first PINNED_CELLS cells counted under their own constraint.
+# The corpus draws random1000..random1299, of 6-8 vertices: backtracking
+# against contraction, at most MAX_ENUMERATED numberings per query, cells
+# too on at most MAX_CELL_LEGS legs, and the first PINNED_CELLS cells
+# counted under their own constraint.
 LARGE_SEEDS = range(1000, 1300)
 LARGE_PRIMES = (5, 7, 11)
 MAX_ENUMERATED = 5_000
@@ -89,7 +89,7 @@ def _writes_reference(m, a):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_random_graph_agreement(seed):
-    m = random_graph(random.Random(seed))
+    m = build(f"random{seed}")
     assert tv.loads_graph(tv.dumps_graph(m)) == m
     t = tv.graph_type(m)
     checked = 0
@@ -117,7 +117,7 @@ def test_random_graph_agreement(seed):
 def test_random_large_graph_engines_agree(seed):
     # The naive scan of p^E assignments is out of reach here, so the
     # backtracker is checked against contraction, an independent engine.
-    m = random_graph(random.Random(seed), max_vertices=8, min_vertices=6)
+    m = build(f"random{seed}")
     by_exponent = len(m.marking) <= MAX_CELL_LEGS
     for p in LARGE_PRIMES:
         for kind in ("strict", "balanced"):

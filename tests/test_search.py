@@ -17,27 +17,16 @@ from trivalent.search import (
     enumerate_lines,
     enumerate_numberings,
 )
-from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
+from trivalent.semigraph import MarkedSemiGraph
 
+from corpus import GRAPHS, SMALL, build, degree_two
 from oracles import (
     ReferenceProblem,
     naive_balanced,
     naive_strict,
     open_values_strict,
     product_vertex_table,
-    random_graph,
-    relabelled_cycle,
 )
-
-BUILDERS = {
-    "tripod": tv.tripod,
-    "theta": tv.theta,
-    "dumbbell": tv.dumbbell,
-    "loop_with_leg": tv.loop_with_leg,
-    "cycle1": lambda: tv.cycle_with_legs(1),
-    "cycle2": lambda: tv.cycle_with_legs(2),
-    "cycle3": lambda: tv.cycle_with_legs(3),
-}
 
 # Expected totals, frozen from the naive assignment scans in oracles.py.
 STRICT_TOTALS = {
@@ -66,7 +55,7 @@ def cases(table):
 
 @pytest.mark.parametrize("name,p,total", cases(STRICT_TOTALS))
 def test_strict_totals_both_engines(name, p, total):
-    m = BUILDERS[name]()
+    m = build(name)
     q = EnumerationQuery(p, "strict")
     assert count(m, q).total == total
     assert count_by_contraction(m, q).total == total
@@ -74,16 +63,16 @@ def test_strict_totals_both_engines(name, p, total):
 
 @pytest.mark.parametrize("name,p,total", cases(BALANCED_TOTALS))
 def test_balanced_totals_both_engines(name, p, total):
-    m = BUILDERS[name]()
+    m = build(name)
     q = EnumerationQuery(p, "balanced")
     assert count(m, q).total == total
     assert count_by_contraction(m, q).total == total
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SMALL))
 @pytest.mark.parametrize("p", (5, 7))
 def test_enumerate_matches_naive_scan_strict(name, p):
-    m = BUILDERS[name]()
+    m = build(name)
     ids = [e.id for e in m.graph.edges]
     got = [
         tuple(a.values[(eid, 0)] for eid in ids)
@@ -93,10 +82,10 @@ def test_enumerate_matches_naive_scan_strict(name, p):
     assert got == expected
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(SMALL))
 @pytest.mark.parametrize("p", (5, 7))
 def test_enumerate_matches_naive_scan_balanced(name, p):
-    m = BUILDERS[name]()
+    m = build(name)
     ids = [e.id for e in m.graph.edges]
     got = [
         tuple(a.values[eid] for eid in ids)
@@ -152,12 +141,7 @@ def test_lines_limit_pulls_no_solution_past_the_last(pulled, k):
     assert len(pulled) == k
 
 
-LINE_GRAPHS = {
-    **BUILDERS,
-    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in range(1, 7)},
-    "figure_tree": tv.figure_tree,
-    "relabelled_cycle": relabelled_cycle,
-}
+LINE_GRAPHS = (*SMALL, "cycle4", "cycle5", "cycle6", "figure_tree", "relabelled_cycle")
 # Streams longer than this are compared on their first MAX_LINES lines.
 MAX_LINES = 3_000
 
@@ -166,7 +150,7 @@ MAX_LINES = 3_000
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
 @pytest.mark.parametrize("name", LINE_GRAPHS)
 def test_enumerate_lines_are_the_dumped_numberings(name, kind, p):
-    m = LINE_GRAPHS[name]()
+    m = build(name)
 
     def lines(**options):
         query = EnumerationQuery(p, kind, **options)
@@ -205,8 +189,8 @@ def test_strict_slot_convention():
 
 def test_balanced_never_uses_top_value():
     # 2 * max <= sum <= p - 2 at every vertex, so no edge value exceeds (p - 3) / 2.
-    for builder in BUILDERS.values():
-        m = builder()
+    for name in SMALL:
+        m = build(name)
         for p in (7, 11):
             for a in enumerate_numberings(m, EnumerationQuery(p, "balanced")):
                 assert max(a.values.values()) <= (p - 3) // 2
@@ -261,13 +245,9 @@ def test_zero_exponent_is_unreachable_for_strict():
 
 
 def test_invalid_graphs_are_rejected():
-    degree_two = MarkedSemiGraph(
-        SemiGraph(("a", "b"), (Edge("e", ("a", "b")), Edge("l", ("a", OPEN)))),
-        ("l",),
-    )
     for limit in (None, 0):
         with pytest.raises(tv.InvalidGraphError):
-            list(enumerate_numberings(degree_two, EnumerationQuery(5, "strict", limit=limit)))
+            list(enumerate_numberings(degree_two(), EnumerationQuery(5, "strict", limit=limit)))
     unmarked = MarkedSemiGraph(tv.tripod().graph, ())
     with pytest.raises(tv.InvalidGraphError):
         count_by_contraction(unmarked, EnumerationQuery(5, "balanced"))
@@ -301,14 +281,10 @@ def test_count_ignores_limit():
     assert count(m, EnumerationQuery(5, "strict", limit=1)).total == 10
 
 
-@pytest.mark.parametrize(
-    "builder",
-    (lambda: tv.cycle_with_legs(2), lambda: tv.cycle_with_legs(4), tv.figure_tree),
-    ids=("cycle2", "cycle4", "figure_tree"),
-)
+@pytest.mark.parametrize("name", ("cycle2", "cycle4", "figure_tree"))
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
-def test_by_exponent_partitions_total(kind, builder):
-    m = builder()
+def test_by_exponent_partitions_total(kind, name):
+    m = build(name)
     q = EnumerationQuery(7, kind)
     back = count(m, q, by_exponent=True)
     cont = count_by_contraction(m, q, by_exponent=True)
@@ -323,33 +299,15 @@ def test_by_exponent_partitions_total(kind, builder):
     assert back.by_exponent == dict(tallied)
 
 
-def test_by_exponent_over_all_cells_matches_unconstrained():
-    m = tv.loop_with_leg()
-    for kind in ("strict", "balanced"):
-        total = count(m, EnumerationQuery(7, kind)).total
-        sliced = sum(
-            count(m, EnumerationQuery(7, kind, constraint=(c,))).total for c in range(7)
-        )
-        assert sliced == total
-
-
 def test_by_exponent_with_no_legs_is_single_cell():
     report = count_by_contraction(tv.theta(), EnumerationQuery(5, "balanced"), by_exponent=True)
     assert report.by_exponent == {(): 5}
     assert report.to_json_obj()["by_exponent"] == {"": 5}
 
 
-def _closed(pairs):
-    """A closed 3-regular graph with one edge per vertex pair in ``pairs``."""
-    vertices = tuple(dict.fromkeys(v for pair in pairs for v in pair))
-    edges = tuple(Edge(f"{a}-{b}", (a, b)) for a, b in pairs)
-    return MarkedSemiGraph(SemiGraph(vertices, edges), ())
-
-
 def test_contraction_width_warning():
-    # The Moebius ladder of genus 8: a 14-cycle with chords vi-v(i+7).
-    cycle = [(f"v{i}", f"v{(i + 1) % 14}") for i in range(14)]
-    ladder = _closed(cycle + [(f"v{i}", f"v{i + 7}") for i in range(7)])
+    # The Moebius ladder of genus 8: a 14-cycle with chords ci-c(i+7).
+    ladder = build("mobius_ladder7")
     with pytest.warns(UserWarning, match="contraction table spans 9 variables") as record:
         report = count_by_contraction(ladder, EnumerationQuery(5, "balanced"))
     assert report.total == _sine_sum(8, 5) == 8125
@@ -363,17 +321,14 @@ def test_contraction_long_strict_cycle():
     assert count_by_contraction(tv.cycle_with_legs(300), EnumerationQuery(5, "strict")).total == 4
 
 
-TABLE_BUILDERS = {**BUILDERS, "cycle4": lambda: tv.cycle_with_legs(4), "figure_tree": tv.figure_tree}
-
-
 @pytest.mark.parametrize("p", (5, 7, 11))
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
-@pytest.mark.parametrize("name", TABLE_BUILDERS)
+@pytest.mark.parametrize("name", (*SMALL, "cycle4", "figure_tree"))
 def test_vertex_tables_match_product_scan(name, kind, p):
     # Every vertex's factor, its shape's shared rows under its own scope,
     # is the product scan with the folded legs summed out, whether the
     # legs are folded (a plain count) or kept (a by-exponent read-off).
-    m = TABLE_BUILDERS[name]()
+    m = build(name)
     constraints = [None]
     if m.marking:
         # Cells that hold a numbering, so the seeded tables are not empty:
@@ -405,17 +360,6 @@ def test_balanced_genus_two_closed_form():
     assert count_by_contraction(tv.theta(), EnumerationQuery(p, "balanced")).total == (p**3 - p) // 24
 
 
-# Closed graphs of genus 3 to 5, whose intermediate contraction tables
-# carry open edges around several cycles.  A balanced count depends only
-# on the type, so K3,3 and the prism, both (4, 0), meet one closed form.
-CLOSED = {
-    "k4": (3, _closed(list(itertools.combinations("abcd", 2)))),
-    "k33": (4, _closed([(a, b) for a in "abc" for b in "xyz"])),
-    "prism": (4, _closed([*zip("abc", "bca"), *zip("xyz", "yzx"), *zip("abc", "xyz")])),
-    "cube": (5, _closed([(str(v), str(v | b)) for v in range(8) for b in (1, 2, 4) if not v & b])),
-}
-
-
 def _sine_sum(g, p):
     """p^(g-1) / 2^(2g-1) * sum over 0 < t < p of sin(pi t / p)^(2-2g),
     the balanced count of a closed genus-g graph: the generic number of
@@ -424,9 +368,13 @@ def _sine_sum(g, p):
     return round(p ** (g - 1) / 2 ** (2 * g - 1) * terms)
 
 
-@pytest.mark.parametrize("name", CLOSED)
+# Closed graphs of genus 3 to 5, whose intermediate contraction tables
+# carry open edges around several cycles.  A balanced count depends only
+# on the type, so K3,3 and the prism, both (4, 0), meet one closed form.
+@pytest.mark.parametrize("name", ("k4", "k33", "prism", "cube"))
 def test_closed_higher_genus_counts(name):
-    genus, m = CLOSED[name]
+    m = build(name)
+    genus = GRAPHS[name].type[0]
     assert tv.graph_type(m) == tv.GraphType(genus, 0)
     for p in (5, 7, 11):
         strict = EnumerationQuery(p, "strict")
@@ -491,15 +439,6 @@ def _window_reads(monkeypatch):
     return results
 
 
-def _shuffled_cycle(n):
-    """``cycle_with_legs(n)`` with its edges in a fixed shuffled order, so
-    that branching does not walk the cycle from one end."""
-    m = tv.cycle_with_legs(n)
-    edges = list(m.graph.edges)
-    random.Random(0).shuffle(edges)
-    return MarkedSemiGraph(SemiGraph(m.graph.vertices, tuple(edges)), m.marking)
-
-
 DEAD_END_CASES = (
     [("strict", name, p) for name in ("tripod", "figure_tree") for p in (5, 7, 11, 13)]
     + [("balanced", "cycle3", 7), ("balanced", "cycle3", 11), ("balanced", "cycle5", 7)]
@@ -512,12 +451,7 @@ DEAD_END_CASES = (
 def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
     # Each edge is branched only over values its ends admit, and a strict
     # genus-1 search pins its legs, so no vertex window is ever empty.
-    if name.startswith("shuffled"):
-        m = _shuffled_cycle(int(name[8:]))
-    elif name.startswith("cycle"):
-        m = tv.cycle_with_legs(int(name[5:]))
-    else:
-        m = TABLE_BUILDERS[name]()
+    m = build(name)
     results = _window_reads(monkeypatch)
     query = EnumerationQuery(p, kind)
     n = sum(1 for _ in enumerate_numberings(m, query))
@@ -538,13 +472,11 @@ def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
 # Streams longer than this are compared with the reference on their
 # first MAX_STREAM tuples.
 MAX_STREAM = 5_000
-PLAN_GRAPHS = {
-    **LINE_GRAPHS,
-    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in (7, 8)},
-    **{f"shuffled{n}": (lambda n=n: _shuffled_cycle(n)) for n in (8, 12, 16)},
+PLAN_GRAPHS = (
+    *LINE_GRAPHS, "cycle7", "cycle8", "shuffled8", "shuffled12", "shuffled16",
     # Genus 0, 17 edges declared in shuffled order: most branches fail.
-    "random1088": lambda: random_graph(random.Random(1088), max_vertices=8, min_vertices=6),
-}
+    "random1088",
+)
 
 
 def _same_streams(m, kind, p, rng):
@@ -579,14 +511,14 @@ PLAN_CASES = [
 
 @pytest.mark.parametrize("name,kind,p", PLAN_CASES)
 def test_plan_streams_match_the_reference(name, kind, p):
-    _same_streams(PLAN_GRAPHS[name](), kind, p, random.Random(f"{name}:{kind}:{p}"))
+    _same_streams(build(name), kind, p, random.Random(f"{name}:{kind}:{p}"))
 
 
 @pytest.mark.parametrize("p", (5, 7))
 @pytest.mark.parametrize("kind", ("strict", "balanced"))
 @pytest.mark.parametrize("seed", range(60))
 def test_plan_streams_match_the_reference_on_random_graphs(seed, kind, p):
-    _same_streams(random_graph(random.Random(seed)), kind, p, random.Random(seed))
+    _same_streams(build(f"random{seed}"), kind, p, random.Random(seed))
 
 
 def test_balanced_forcing_passes_over_settled_levels(monkeypatch):
@@ -604,7 +536,7 @@ def test_balanced_forcing_passes_over_settled_levels(monkeypatch):
 
 @pytest.mark.parametrize("name", ("theta", "dumbbell", "k4", "cube"))
 def test_strict_search_at_genus_two_assigns_nothing(monkeypatch, name):
-    m = CLOSED[name][1] if name in CLOSED else BUILDERS[name]()
+    m = build(name)
     assert tv.graph_type(m).g >= 2
     results = _window_reads(monkeypatch)
     planned = []

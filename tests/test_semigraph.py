@@ -1,33 +1,41 @@
 import json
-import random
 
 import pytest
 
 import trivalent as tv
 from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph, StructureError
 
-from oracles import random_graph, recursive_reduced_loop
+import corpus
+from oracles import recursive_reduced_loop
 
 
-BUILDERS = [
-    ("tripod", tv.tripod, (0, 3)),
-    ("theta", tv.theta, (2, 0)),
-    ("dumbbell", tv.dumbbell, (2, 0)),
-    ("loop_with_leg", tv.loop_with_leg, (1, 1)),
-    ("cycle1", lambda: tv.cycle_with_legs(1), (1, 1)),
-    ("cycle2", lambda: tv.cycle_with_legs(2), (1, 2)),
-    ("cycle3", lambda: tv.cycle_with_legs(3), (1, 3)),
-    ("pendant_ladder3", lambda: pendant_ladder(3), (4, 2)),
-    ("bridged_ladder4", lambda: bridged_ladder(4), (6, 0)),
-    ("caterpillar4", lambda: caterpillar(4), (1, 4)),
-    ("barbell3", lambda: barbell(3), (2, 3)),
-]
+def entries(*names):
+    """(name, builder, type) for each named corpus entry."""
+    return [(name, *corpus.GRAPHS[name]) for name in names]
 
 
-@pytest.mark.parametrize("name,build,expected", BUILDERS)
-def test_builder_types(name, build, expected):
-    t = tv.graph_type(build())
+TYPED = (*corpus.SMALL, "pendant_ladder3", "bridged_ladder4", "caterpillar4", "barbell3")
+BUILDERS = entries(*TYPED)
+DRAWS = [name for name in corpus.GRAPHS if name.startswith("random")]
+NAMED = [name for name in corpus.GRAPHS if name not in DRAWS]
+
+
+def check_entry(build, expected):
+    """A corpus entry builds a new graph on every call, with nothing
+    compiled into it, of the type it records."""
+    m = build()
+    assert build().graph is not m.graph
+    assert m.graph.numbering_lines == {}
+    t = tv.graph_type(m)
     assert (t.g, t.r) == expected
+    return m
+
+
+# Every corpus entry but the random draws, which the test of their genus
+# checks; those of BUILDERS come first, which keeps their ids.
+@pytest.mark.parametrize("name,build,expected", entries(*dict.fromkeys([*TYPED, *NAMED])))
+def test_builder_types(name, build, expected):
+    check_entry(build, expected)
 
 
 @pytest.mark.parametrize("name,build,expected", BUILDERS)
@@ -53,16 +61,13 @@ def test_branch_incidence():
 
 
 def test_genus_equals_betti_random():
-    for seed in range(40):
-        m = random_graph(random.Random(seed))
+    for name in DRAWS:
+        m = check_entry(*corpus.GRAPHS[name])
         assert tv.betti(m) == tv.graph_type(m).g
 
 
 def test_validate_degree_failure_names_vertex():
-    m = MarkedSemiGraph(
-        SemiGraph(("a", "b"), (Edge("e", ("a", "b")), Edge("l", ("a", OPEN)))),
-        ("l",),
-    )
+    m = corpus.degree_two()
     report = tv.validate(m)
     assert not report.valid
     failed = {c.name: c for c in report.checks if not c.passed}
@@ -142,8 +147,8 @@ def walk_is_reduced(g, walk):
 
 @pytest.mark.parametrize(
     "build,length",
-    [(tv.theta, 2), (tv.dumbbell, 1), (tv.loop_with_leg, 1),
-     (lambda: tv.cycle_with_legs(3), 3)],
+    [(corpus.GRAPHS[name].build, length)
+     for name, length in (("theta", 2), ("dumbbell", 1), ("loop_with_leg", 1), ("cycle3", 3))],
 )
 def test_reduced_loop_shapes(build, length):
     m = build()
@@ -159,151 +164,70 @@ def test_reduced_loop_tree_is_empty():
 def test_reduced_loop_rebased_when_base_off_cycle():
     # v0 carries a self-loop, v1 hangs off it with two legs; the only
     # cycle misses v1, so asking at v1 returns a loop based at v0.
-    m = MarkedSemiGraph(
-        SemiGraph(
-            ("v0", "v1"),
-            (Edge("loop", ("v0", "v0")), Edge("mid", ("v0", "v1")),
-             Edge("x", ("v1", OPEN)), Edge("y", ("v1", OPEN))),
-        ),
-        ("x", "y"),
-    )
+    m = corpus.build("lollipop")
     assert tv.graph_type(m) == tv.GraphType(1, 2)
     walk = tv.reduced_loop(m, "v1")
     assert m.graph.incidence(walk[0]) == "v0"
     walk_is_reduced(m.graph, walk)
 
 
-def off_cycle_graph():
-    # v0 carries a self-loop, v1 hangs off it with two legs.
-    return MarkedSemiGraph(
-        SemiGraph(
-            ("v0", "v1"),
-            (Edge("loop", ("v0", "v0")), Edge("mid", ("v0", "v1")),
-             Edge("x", ("v1", OPEN)), Edge("y", ("v1", OPEN))),
-        ),
-        ("x", "y"),
-    )
-
-
-def complete_graph_k4():
-    names = ("a", "b", "c", "d")
-    edges = [Edge(f"{u}{w}", (u, w)) for i, u in enumerate(names) for w in names[i + 1:]]
-    return MarkedSemiGraph(SemiGraph(names, tuple(edges)), ())
-
-
-def _ladder(k):
-    """A Mobius ladder on c0..c(2k-1): cycle edges c_i--c_(i+1 mod 2k) and
-    chords c_i--c_(i+k), with the edge c0--c1 subdivided by a vertex u."""
-    n = 2 * k
-    edges = [Edge("s0", ("c0", "u")), Edge("s1", ("u", "c1"))]
-    edges += [Edge(f"r{i}", (f"c{i}", f"c{(i + 1) % n}")) for i in range(1, n)]
-    edges += [Edge(f"h{i}", (f"c{i}", f"c{i + k}")) for i in range(k)]
-    return ("v0", "u") + tuple(f"c{i}" for i in range(n)), edges
-
-
-def pendant_ladder(k):
-    """The ladder with v0 joined to u and carrying two legs; type (k+1, 2).
-    v0 lies on no cycle, and every simple path from it runs into the
-    ladder."""
-    vertices, ladder = _ladder(k)
-    edges = [Edge("b", ("v0", "u")), Edge("x", ("v0", OPEN)), Edge("y", ("v0", OPEN))]
-    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges + ladder)), ("x", "y"))
-
-
-def bridged_ladder(k):
-    """The ladder with v0 joined to u and carrying a self-loop declared
-    after the bridge; type (k+2, 0)."""
-    vertices, ladder = _ladder(k)
-    edges = [Edge("b", ("v0", "u")), Edge("loop", ("v0", "v0"))]
-    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges + ladder)), ())
-
-
-def caterpillar(n):
-    """A path t0..t(n-1) with two legs on t0, one on each inner vertex and
-    a self-loop on t(n-1); type (1, n).  Only the far end lies on a cycle."""
-    vertices = tuple(f"t{i}" for i in range(n))
-    edges = [Edge(f"p{i}", (f"t{i}", f"t{i + 1}")) for i in range(n - 1)]
-    edges += [Edge("x", ("t0", OPEN)), Edge("y", ("t0", OPEN))]
-    edges += [Edge(f"l{i}", (f"t{i}", OPEN)) for i in range(1, n - 1)]
-    edges.append(Edge("loop", (f"t{n - 1}", f"t{n - 1}")))
-    legs = ["x", "y"] + [f"l{i}" for i in range(1, n - 1)]
-    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges)), tuple(legs))
-
-
-def barbell(n):
-    """A path m1..mn with one leg each, declared first, whose ends are
-    joined to the vertices a and b, each carrying a self-loop; type (2, n).
-    No vertex of the path lies on a cycle, and none is a leaf, so
-    peeling leaves does not find the cycles."""
-    vertices = tuple(f"m{i}" for i in range(1, n + 1)) + ("a", "b")
-    edges = [Edge(f"p{i}", (f"m{i}", f"m{i + 1}")) for i in range(1, n)]
-    edges += [Edge(f"l{i}", (f"m{i}", OPEN)) for i in range(1, n + 1)]
-    edges += [Edge("ja", ("m1", "a")), Edge("jb", (f"m{n}", "b"))]
-    edges += [Edge("loopa", ("a", "a")), Edge("loopb", ("b", "b"))]
-    legs = [f"l{i}" for i in range(1, n + 1)]
-    return MarkedSemiGraph(SemiGraph(vertices, tuple(edges)), tuple(legs))
+# The ids of this sweep, and the corpus names of the ids that differ.
+RENAMED = {
+    "off_cycle_graph": "lollipop",
+    "complete_graph_k4": "k4",
+    **{f"random{s}": f"random{s}_8" for s in range(200)},
+}
 
 
 @pytest.mark.parametrize(
-    "build",
-    [tv.tripod, tv.theta, tv.dumbbell, tv.loop_with_leg, tv.figure_tree, off_cycle_graph,
-     complete_graph_k4]
-    + [pytest.param(lambda n=n: tv.cycle_with_legs(n), id=f"cycle{n}") for n in range(1, 9)]
-    + [
-        pytest.param(lambda k=k, b=b: b(k), id=f"{b.__name__}{k}")
-        for b in (pendant_ladder, bridged_ladder)
-        for k in range(3, 7)
-    ]
-    + [
-        pytest.param(lambda n=n, b=b: b(n), id=f"{b.__name__}{n}")
-        for b in (caterpillar, barbell)
-        for n in range(3, 7)
-    ]
-    + [
-        pytest.param(lambda s=s: random_graph(random.Random(s), max_vertices=8), id=f"random{s}")
-        for s in range(200)
-    ],
+    "name",
+    ["tripod", "theta", "dumbbell", "loop_with_leg", "figure_tree", "off_cycle_graph",
+     "complete_graph_k4"]
+    + [f"cycle{n}" for n in range(1, 9)]
+    + [f"{shape}{n}" for shape in ("pendant_ladder", "bridged_ladder", "caterpillar", "barbell")
+       for n in range(3, 7)]
+    + [f"random{s}" for s in range(200)],
 )
-def test_reduced_loop_matches_recursive_reference(build):
-    m = build()
+def test_reduced_loop_matches_recursive_reference(name):
+    m = corpus.build(RENAMED.get(name, name))
     for base in m.graph.vertices:
         assert tv.reduced_loop(m, base) == recursive_reduced_loop(m, base)
 
 
 @pytest.mark.parametrize(
-    "build,size,base",
+    "name,base",
     [
-        pytest.param(pendant_ladder, 40, "v0", id="pendant_ladder"),
-        pytest.param(bridged_ladder, 40, "v0", id="bridged_ladder"),
-        pytest.param(caterpillar, 2000, "t0", id="caterpillar"),
-        pytest.param(barbell, 2000, "m1", id="barbell"),
+        pytest.param("pendant_ladder40", "v0", id="pendant_ladder"),
+        pytest.param("bridged_ladder40", "v0", id="bridged_ladder"),
+        pytest.param("caterpillar2000", "t0", id="caterpillar"),
+        pytest.param("barbell2000", "m1", id="barbell"),
     ],
 )
-def test_reduced_loop_enters_each_vertex_once(monkeypatch, build, size, base):
+def test_reduced_loop_enters_each_vertex_once(monkeypatch, name, base):
     # From v0 the ladder is reached across a bridge; a search over simple
     # paths walks every one of them, about 2^k, before it moves on.  On the
     # caterpillar and the barbell the base and every vertex declared before
     # a cycle lie on none, and a search from each in turn costs O(V) apiece.
     # Each vertex entered once reads each incidence a bounded number of times.
-    m = build(size)
+    m = corpus.build(name)
     limit_incidence_reads(monkeypatch, 4 * 2 * len(m.graph.edges))
     walk = tv.reduced_loop(m, base)
     walk_is_reduced(m.graph, walk)
 
 
 @pytest.mark.parametrize(
-    "build,base",
+    "name,base",
     [
-        pytest.param(lambda: tv.cycle_with_legs(2000), "v1", id="cycle2000"),
-        pytest.param(lambda: bridged_ladder(40), "u", id="bridged_ladder"),
-        pytest.param(tv.theta, "v1", id="theta"),
+        pytest.param("cycle2000", "v1", id="cycle2000"),
+        pytest.param("bridged_ladder40", "u", id="bridged_ladder"),
+        pytest.param("theta", "v1", id="theta"),
     ],
 )
-def test_reduced_loop_on_cycle_base_is_one_pass(monkeypatch, build, base):
+def test_reduced_loop_on_cycle_base_is_one_pass(monkeypatch, name, base):
     # A base on a cycle needs no pass that marks the cycle vertices first:
     # the walk closes in the one pass, which reads each branch's far end
     # at most once.
-    m = build()
+    m = corpus.build(name)
     limit_incidence_reads(monkeypatch, 2 * len(m.graph.edges))
     walk = tv.reduced_loop(m, base)
     monkeypatch.undo()

@@ -1,5 +1,4 @@
 import json
-import random
 import time
 
 import pytest
@@ -10,41 +9,33 @@ import trivalent.miura as miura_mod
 import trivalent.numbering as numbering_mod
 import trivalent.semigraph as semigraph_mod
 import trivalent.verify as verify_mod
-from oracles import miura_loop, random_graph, relabelled_cycle
+from corpus import GENUS_ONE, GENUS_TWO, GRAPHS, SMALL, build
+from oracles import miura_loop
 from trivalent.cli import main
 from trivalent.numbering import BranchNumbering, numbering_from_json_obj
 from trivalent.search import CensusReport, _Problem
-from trivalent.semigraph import OPEN, Edge, MarkedSemiGraph, SemiGraph
-
-GENUS_ONE = [
-    ("loop_with_leg", tv.loop_with_leg),
-    ("cycle1", lambda: tv.cycle_with_legs(1)),
-    ("cycle2", lambda: tv.cycle_with_legs(2)),
-    ("cycle3", lambda: tv.cycle_with_legs(3)),
-]
-GENUS_TWO = [("theta", tv.theta), ("dumbbell", tv.dumbbell)]
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
-@pytest.mark.parametrize("name,build", GENUS_ONE + GENUS_TWO)
-def test_p048_passes_on_corpus(name, build, p):
-    report = tv.verify_p048(build(), p)
+@pytest.mark.parametrize("name,builder", [(n, GRAPHS[n].build) for n in GENUS_ONE + GENUS_TWO])
+def test_p048_passes_on_corpus(name, builder, p):
+    report = tv.verify_p048(builder(), p)
     assert report.applicable and report.passed
     assert report.witness == ()
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
-@pytest.mark.parametrize("name,build", GENUS_ONE)
-def test_p048_structure_passes_on_genus_one(name, build, p):
-    report = tv.verify_p048_structure(build(), p)
+@pytest.mark.parametrize("name,builder", [(n, GRAPHS[n].build) for n in GENUS_ONE])
+def test_p048_structure_passes_on_genus_one(name, builder, p):
+    report = tv.verify_p048_structure(builder(), p)
     assert report.applicable and report.passed
 
 
 def test_p048_not_applicable_at_genus_zero(capsys):
     report = tv.verify_p048(tv.tripod(), 7)
     assert not report.applicable and report.passed
-    for name, build in GENUS_TWO + [("tripod", tv.tripod)]:
-        structure = tv.verify_p048_structure(build(), 7)
+    for name in (*GENUS_TWO, "tripod"):
+        structure = tv.verify_p048_structure(build(name), 7)
         assert not structure.applicable
     # The reports in full, from the library and from the command line (exit 3).
     tripod = {"p": 7, "type": {"g": 0, "r": 3}, "vertices": 1, "edges": 3}
@@ -67,7 +58,7 @@ def test_p048_not_applicable_at_genus_zero(capsys):
             "applicable": False,
             "witness": [],
         }
-        assert verifier(getattr(tv, graph)(), 7).to_json_obj() == expected
+        assert verifier(build(graph), 7).to_json_obj() == expected
         assert main(["verify", theorem, "--p", "7", "--builtin", graph]) == 3
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == (json.dumps(expected) + "\n", "")
@@ -75,12 +66,12 @@ def test_p048_not_applicable_at_genus_zero(capsys):
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 @pytest.mark.parametrize(
-    "build",
-    [tv.tripod, tv.theta, tv.dumbbell, tv.loop_with_leg,
-     lambda: tv.cycle_with_legs(2), tv.figure_tree],
+    "builder",
+    [GRAPHS[name].build
+     for name in ("tripod", "theta", "dumbbell", "loop_with_leg", "cycle2", "figure_tree")],
 )
-def test_miura_verifier_passes(build, p):
-    report = tv.verify_miura(build(), p)
+def test_miura_verifier_passes(builder, p):
+    report = tv.verify_miura(builder(), p)
     assert report.passed
     assert report.theorem == "miura"
 
@@ -139,19 +130,14 @@ def test_miura_failure_carries_witness(monkeypatch):
     assert tv.is_strict(tv.loop_with_leg(), replayed)
 
 
-MIURA_GRAPHS = {
-    **{name: getattr(tv, name) for name in ("tripod", "theta", "dumbbell", "loop_with_leg")},
-    **{f"cycle{n}": (lambda n=n: tv.cycle_with_legs(n)) for n in range(1, 7)},
-    "figure_tree": tv.figure_tree,
-    "relabelled_cycle": relabelled_cycle,
-    **{f"random{seed}": (lambda seed=seed: random_graph(random.Random(seed))) for seed in range(30)},
-}
+MIURA_GRAPHS = (*SMALL, "cycle4", "cycle5", "cycle6", "figure_tree", "relabelled_cycle",
+                *(f"random{seed}" for seed in range(30)))
 
 
 @pytest.mark.parametrize("p", (5, 7, 11, 13))
 @pytest.mark.parametrize("name", MIURA_GRAPHS)
 def test_miura_matches_per_numbering_loop(name, p):
-    m = MIURA_GRAPHS[name]()
+    m = build(name)
     report = tv.verify_miura(m, p)
     assert report.passed
     assert report.to_json_obj() == miura_loop(m, p).to_json_obj()
@@ -186,20 +172,8 @@ def test_structure_check_details():
     assert sorted(constants) == list(range(1, p))
 
 
-def lollipop():
-    """A self-loop at v0, a stem to v1 and two legs at v1, which is off the loop."""
-    return MarkedSemiGraph(
-        SemiGraph(
-            ("v0", "v1"),
-            (Edge("loop", ("v0", "v0")), Edge("mid", ("v0", "v1")),
-             Edge("x", ("v1", OPEN)), Edge("y", ("v1", OPEN))),
-        ),
-        ("x", "y"),
-    )
-
-
 def test_off_loop_multiset():
-    m = lollipop()
+    m = build("lollipop")
     p = 11
     report = tv.verify_p048_structure(m, p)
     assert report.applicable and report.passed
@@ -332,8 +306,8 @@ def test_miura_failures_match_per_numbering_loop(mutation, p, monkeypatch):
     for module, name, value in loop_patches:
         monkeypatch.setattr(module, name, value)
     failed = 0
-    for build in MIURA_GRAPHS.values():
-        m = build()
+    for name in MIURA_GRAPHS:
+        m = build(name)
         report = tv.verify_miura(m, p)
         assert report.to_json_obj() == miura_loop(m, p).to_json_obj()
         failed += not report.passed
@@ -459,7 +433,7 @@ def test_failed_check_reports_witness(case, monkeypatch, capsys, tmp_path):
         # ``sum`` is a builtin; it is shadowed in the module for one case.
         monkeypatch.setattr(verify_mod, name, value, raising=name != "sum")
     graph = tmp_path / "lollipop.json"
-    graph.write_text(tv.dumps_graph(lollipop()))
+    graph.write_text(tv.dumps_graph(build("lollipop")))
     argv = [str(graph) if arg == "LOLLIPOP" else arg for arg in argv]
     assert main(["verify", *argv]) == 1
     report = json.loads(capsys.readouterr().out)
