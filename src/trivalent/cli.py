@@ -56,8 +56,8 @@ def _load_graph(args) -> semigraph.MarkedSemiGraph:
         if name in BUILTINS:
             return BUILTINS[name]()
         if name.startswith("cycle:"):
-            n = name[len("cycle:"):]
-            if _is_integer(n) and (length := semigraph.parse_int(n)) >= 1:
+            length = _integer(name[len("cycle:"):])
+            if length is not None and length >= 1:
                 return semigraph.cycle_with_legs(length)
             raise StructureError(f"bad builtin {name!r}")
         raise StructureError(f"unknown builtin {name!r}")
@@ -76,18 +76,26 @@ def _read(path: str) -> str:
             raise StructureError(f"{path}: {exc}") from None
 
 
-def _is_integer(text: str) -> bool:
-    """Whether ``text`` is ASCII digits after at most one '-'.  int() would
-    also take '+', spaces, underscores and non-ASCII digits."""
+def _integer(text: str) -> int | None:
+    """The one reader of integers on the command line: ``text`` as an int
+    if it is ASCII digits after at most one '-', else None.  int() would
+    also take '+', spaces, underscores and non-ASCII digits.  More digits
+    than the interpreter converts raise StructureError."""
     digits = text[1:] if text.startswith("-") else text
-    return digits.isascii() and digits.isdigit()
+    return semigraph.parse_int(text) if digits.isascii() and digits.isdigit() else None
 
 
 def _integer_arg(text: str) -> int:
-    """The argparse type of --p and --limit."""
-    if not _is_integer(text):
+    """The argparse type of --p and --limit.  argparse writes an
+    ArgumentTypeError's message after the option's name, and for any
+    other error names this function and echoes the text."""
+    try:
+        n = _integer(text)
+    except StructureError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if n is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    return n
 
 
 def _parse_constraint(raw: str | None):
@@ -95,10 +103,10 @@ def _parse_constraint(raw: str | None):
         return None
     if not raw:
         return ()
-    parts = raw.split(",")
-    if not all(_is_integer(part) for part in parts):
+    values = [_integer(part) for part in raw.split(",")]
+    if None in values:
         raise StructureError(f"--constraint must be comma-separated integers, got {raw!r}")
-    return tuple(semigraph.parse_int(part) for part in parts)
+    return tuple(values)
 
 
 def _emit(obj):
@@ -263,7 +271,7 @@ def main(argv=None) -> int:
     # joined to its option.
     for i in range(len(argv) - 2, -1, -1):
         value = argv[i + 1]
-        if argv[i] == "--constraint" and value.startswith("-") and _is_integer(value[:2]):
+        if argv[i] == "--constraint" and value.startswith("-") and _integer(value[:2]) is not None:
             argv[i:i + 2] = [f"--constraint={value}"]
     # A command's own parser reads the words after its name; PARSER, any other line.
     if argv and argv[0] in COMMANDS:

@@ -6,7 +6,8 @@ The value map sends a residue m to (p - m - 1)/2 when m is even and to
 carry m and p - m, one even and one odd, and both map to the same
 value, so the transformation of a strict numbering is a well defined
 edge numbering.  The transform computes both slots' values and checks
-the agreement at runtime instead of trusting one side.
+the agreement at runtime instead of trusting one side, in one place
+(``_edge_images``), which ``verify.verify_miura`` shares.
 
 That the image always satisfies the balanced vertex condition is not
 assumed anywhere in this module; it is exercised by the test suite and
@@ -42,6 +43,21 @@ def mu_value(p: int, m: int) -> int:
     return (p - m - 1) // 2 if m % 2 == 0 else (m - 1) // 2
 
 
+def _edge_images(mu, branch, edge_ids) -> tuple[int, ...]:
+    """The edge values of a strict numbering's image, from its branch
+    values in label order (branch (edge i, slot s) at 2i + s) through the
+    value map ``mu`` at its p.  An edge whose two slot images disagree
+    raises RuntimeError, naming the edge by ``edge_ids``."""
+    image = tuple(map(mu, branch))
+    edges = image[::2]
+    if edges != image[1::2]:
+        i = next(i for i, v in enumerate(edges) if v != image[2 * i + 1])
+        raise RuntimeError(
+            f"edge {edge_ids[i]!r}: branch images disagree ({edges[i]} vs {image[2 * i + 1]})"
+        )
+    return edges
+
+
 def miura_transform(m: MarkedSemiGraph, a: BranchNumbering) -> EdgeNumbering:
     """Image of a strict branch numbering, one value per edge.
 
@@ -56,16 +72,10 @@ def miura_transform(m: MarkedSemiGraph, a: BranchNumbering) -> EdgeNumbering:
         known = set(m.graph.branches())
         extra = next(b for b in a.values if b not in known)
         raise ValueError(f"numbering has a value for branch {extra!r}, which the graph lacks")
-    out = {}
-    for e in m.graph.edges:
-        v0 = mu_value(a.p, a.values[(e.id, 0)])
-        v1 = mu_value(a.p, a.values[(e.id, 1)])
-        if v0 != v1:
-            raise RuntimeError(
-                f"edge {e.id!r}: branch images disagree ({v0} vs {v1})"
-            )
-        out[e.id] = v0
-    return _built(EdgeNumbering, a.p, out)
+    branch = [a.values[b] for b in m.graph.branches()]
+    ids = [e.id for e in m.graph.edges]
+    image = _edge_images(lambda x: mu_value(a.p, x), branch, ids)
+    return _built(EdgeNumbering, a.p, dict(zip(ids, image)))
 
 
 def tripod_strict_set(p: int) -> list[tuple[tuple[int, int, int], bool]]:

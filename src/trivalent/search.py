@@ -81,6 +81,7 @@ from .numbering import (
     ExponentVector,
     _built,
     _compile_line,
+    _label_values,
     check_prime,
 )
 from .semigraph import MarkedSemiGraph, StructureError, require_valid
@@ -155,7 +156,8 @@ class _Problem:
             tuple((index[eid], slot) for eid, slot in g.branches_at[v]) for v in g.vertices
         ]
         self.edge_ids = [e.id for e in self.edges]
-        self.branch_keys = [((eid, 0), (eid, 1)) for eid in self.edge_ids]
+        # The key of each value ``_label_values`` lays out.
+        self.keys = list(g.branches()) if self.strict else self.edge_ids
         self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
 
         # Legs in marking order: (edge index, open slot).
@@ -390,14 +392,8 @@ class _Problem:
             x += 1
 
     def to_numbering(self, sol) -> BranchNumbering | EdgeNumbering:
-        if self.strict:
-            p = self.p
-            vals = {}
-            for (k0, k1), x in zip(self.branch_keys, sol):
-                vals[k0] = x
-                vals[k1] = p - x
-            return _built(BranchNumbering, p, vals)
-        return _built(EdgeNumbering, self.p, dict(zip(self.edge_ids, sol)))
+        values = dict(zip(self.keys, _label_values(self.p, self.strict, sol)))
+        return _built(BranchNumbering if self.strict else EdgeNumbering, self.p, values)
 
 
 def enumerate_numberings(
@@ -418,22 +414,15 @@ def enumerate_lines(m: MarkedSemiGraph, query: EnumerationQuery) -> Iterator[str
     """The ``dumps_numbering`` line of each numbering
     ``enumerate_numberings(m, query)`` yields, in the same order, filled
     into the graph's compiled template straight from the search's value
-    tuples.  The template reads p, then the values in label order: a
-    balanced edge value per edge, or a strict x and p - x per edge, slot 0
-    before slot 1."""
+    tuples.  The template reads p, then the values in label order, the
+    one layout ``numbering._label_values`` gives a solution: a balanced
+    edge value per edge, or for strict numberings the value of branch
+    (edge i, slot s) at 2i + s, x then p - x per edge."""
     problem = _Problem(m, query)
     p, strict = problem.p, problem.strict
     template, _ = m.graph.numbering_lines.get(strict) or _compile_line(m.graph, strict)
-    solutions = itertools.islice(problem.solutions(), query.limit)
-    if not strict:
-        for sol in solutions:
-            yield template % ((p,) + sol)
-        return
-    for sol in solutions:
-        values = [p]
-        for x in sol:
-            values += (x, p - x)
-        yield template % tuple(values)
+    for sol in itertools.islice(problem.solutions(), query.limit):
+        yield template % ((p,) + _label_values(p, strict, sol))
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:

@@ -22,8 +22,10 @@ The checked statements:
 * the Miura transformation is edge-consistent on every strict
   numbering, its image is balanced, and radii transform componentwise
   (``verify_miura``).  Unlike the other verifiers, it reads the
-  search's value tuples straight, through a layout of the graph built
-  once per call, and builds a numbering object only for a witness;
+  search's value tuples straight, each laid out once in label order
+  (``numbering._label_values``: branch (edge i, slot s) at 2i + s), takes
+  the edge images from ``miura._edge_images`` as ``miura_transform``
+  does, and builds a numbering object only for a witness;
 
 * a worked five-leg tree with p = 11 behaves exactly as displayed
   (``verify_figure_vector``).
@@ -33,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .miura import miura_transform, mu_value
+from .miura import _edge_images, miura_transform, mu_value
 from .numbering import (
     BranchNumbering,
+    _label_values,
     balanced_triple,
     check_prime,
     exponent_of,
@@ -231,30 +234,30 @@ class _MuTable(dict):
 
 def _exponent_reader(problem: _Problem):
     """What ``exponent_of`` reads, the open branch values in marking
-    order, as a getter on a solution's branch values (see
+    order, as a getter on a solution's branch values in label order (see
     ``verify_miura``)."""
-    n = len(problem.edges)
-    return _getter([ei + slot * n for ei, slot in problem.legs])
+    return _getter([2 * ei + slot for ei, slot in problem.legs])
 
 
 def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     """Edge consistency, balancedness and radii compatibility on every strict numbering.
 
-    The checks read the search's value tuples directly.  A solution's
-    branch values are the tuple followed by p - x for each of its values
-    x: slot 0 of edge i at position i, slot 1 at n + i, for n edges.  The
-    positions each check reads are laid out once per call, and mu is read
-    through ``mu_value`` once per value seen.  A check fails with the
-    message the per-numbering path (``miura_transform``, ``is_balanced``,
-    then ``radii_of`` against ``exponent_of``) gives, and only a failing
-    solution is built into a numbering, for its witness.
+    The checks read the search's value tuples directly.  Each solution's
+    branch values are laid out once, in label order, as the JSON line and
+    the search's numberings lay them out (``numbering._label_values``):
+    branch (edge i, slot s) at position 2i + s.  The positions each check
+    reads are worked out once per call.  The edge images come from
+    ``miura._edge_images``, the code ``miura_transform`` runs, with mu
+    read through ``mu_value`` once per value seen.  A check fails with
+    the message the per-numbering path (``miura_transform``,
+    ``is_balanced``, then ``radii_of`` against ``exponent_of``) gives, and
+    only a failing solution is built into a numbering, for its witness.
     """
     inputs = _inputs(m, p)
     problem = _Problem(m, EnumerationQuery(p, "strict"))
-    n = len(problem.edges)
     # Per vertex, the positions of its branch values, and of its edges'
     # images (a self-loop's twice).
-    branch_at = [tuple(ei + slot * n for ei, slot in bs) for bs in problem.vertex_branches]
+    branch_at = [tuple(2 * ei + slot for ei, slot in bs) for bs in problem.vertex_branches]
     edge_at = [tuple(ei for ei, _ in bs) for bs in problem.vertex_branches]
     radii = _getter([ei for ei, _ in problem.legs])
     exponent = _exponent_reader(problem)
@@ -262,20 +265,16 @@ def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     mu = _MuTable(p).__getitem__
 
     def error_of(sol: tuple[int, ...]) -> str | None:
-        branch = sol + tuple([p - x for x in sol])
+        branch = _label_values(p, True, sol)
         if 0 in branch:
             return "miura_transform requires a strict branch numbering"
         for a, b, c in branch_at:
             if branch[a] + branch[b] + branch[c] != total:
                 return "miura_transform requires a strict branch numbering"
-        # The image of every branch value; an edge's image is its slot 0's.
-        image = tuple(map(mu, branch))
-        if image[:n] != image[n:]:
-            ei = next(i for i in range(n) if image[i] != image[n + i])
-            return (
-                f"edge {problem.edge_ids[ei]!r}: branch images disagree "
-                f"({image[ei]} vs {image[n + ei]})"
-            )
+        try:
+            image = _edge_images(mu, branch, problem.edge_ids)
+        except RuntimeError as exc:
+            return str(exc)
         for a, b, c in edge_at:
             if not balanced_triple(p, image[a], image[b], image[c]):
                 return "image is not balanced"

@@ -128,6 +128,20 @@ def test_integers_past_the_digit_limit_exit_2(tmp_path, capsys, digit_limit):
                  ["count", "--p", "5", "--kind", "strict", "--builtin", f"cycle:{digits}"]):
         message = f"error: integer longer than {digit_limit} digits\n"
         assert run(capsys, *argv) == (2, "", message)
+    # argparse reads --p and --limit: the message names the option, not the
+    # type function, and does not echo the digits.
+    for option, argv in (("--p", ["count", "--p", digits, "--kind", "strict",
+                                  "--builtin", "tripod"]),
+                         ("--limit", ["enumerate", *tripod, "--limit", digits]),
+                         ("--p", ["verify", "miura", "--p", digits, "--builtin", "tripod"])):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(
+            f"error: argument {option}: integer longer than {digit_limit} digits\n"
+        )
+        assert "_integer_arg" not in captured.err and digits not in captured.err
 
 
 TRIPOD = {"vertices": ["v"], "marking": ["a", "b", "c"],

@@ -203,13 +203,16 @@ DUMPS_GRAPHS = (*SMALL, "cycle4", "figure_tree", "escaping_tripod", "relabelled_
 
 def assert_dumps_matches_dict(m, numberings):
     """Both encoders against ``oracles.numbering_document``, key order
-    included."""
+    included.  Returns the lines ``dumps_numbering`` wrote, in order."""
+    lines = []
     for a in numberings:
         expected = numbering_document(m, a)
         line = tv.dumps_numbering(m, a)
         obj = tv.numbering_to_json_obj(m, a)
         assert line == json.dumps(expected)
         assert obj == expected and json.dumps(obj) == line
+        lines.append(line)
+    return lines
 
 
 @pytest.mark.parametrize("p", (5, 7, 11))
@@ -218,9 +221,9 @@ def assert_dumps_matches_dict(m, numberings):
 def test_dumps_matches_json_dumps_of_dict(name, kind, p):
     m = build(name)
     numberings = list(tv.enumerate_numberings(m, tv.EnumerationQuery(p, kind)))
-    assert_dumps_matches_dict(m, numberings)
-    for a in numberings:
-        assert tv.loads_numbering(tv.dumps_numbering(m, a)) == a
+    lines = assert_dumps_matches_dict(m, numberings)
+    for a, line in zip(numberings, lines, strict=True):
+        assert tv.loads_numbering(line) == a
 
 
 def test_dumps_escapes_labels():

@@ -141,7 +141,9 @@ def test_lines_limit_pulls_no_solution_past_the_last(pulled, k):
     assert len(pulled) == k
 
 
-LINE_GRAPHS = (*SMALL, "cycle4", "cycle5", "cycle6", "figure_tree", "relabelled_cycle")
+LINE_GRAPHS = (
+    *SMALL, "cycle4", "cycle5", "cycle6", "figure_tree", "relabelled_cycle", "escaping_tripod",
+)
 # Streams longer than this are compared on their first MAX_LINES lines.
 MAX_LINES = 3_000
 
