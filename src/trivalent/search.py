@@ -19,26 +19,30 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   self-loop adds p whatever its value, so it has no end.
 
   Which edges are known at each depth does not depend on the values, so
-  ``_Problem.plan`` compiles the search once per query, with each window
-  rule listing only the known terms.  The seeded and pinned values come
-  first, then one level per branched edge.  A level's edge is branched
-  over the intersection of its ends' windows, clipped to the domain, so
-  it needs no check.  A strict vertex left with one free edge forces it,
-  and a vertex that a forced, seeded or pinned value fills is checked;
-  those steps follow the value that sets them off, and a forced edge
-  gets no level.  Whether a balanced window is one value depends on the
-  values, so a balanced edge keeps its level; once all its ends are
-  full, a step works out its interval, and an interval of one value
-  passes the level over.  ``_Problem.solutions`` walks the plan with a
-  stack of the levels that have values left to try.  A level's value is
-  read only at that level and below, so going back needs no undo, and
-  the number of edges is not bounded by Python's recursion limit.
+  ``_Problem.plan`` compiles the search once per query into levels, with
+  each window rule listing only the known terms.  The seeded and pinned
+  legs come first, each over the domain narrowed to its fixed values:
+  one value, or none when a seed lies outside the domain or disagrees
+  with the pin, which ends the search at that level.  Then comes one
+  level per other edge that no vertex forces, over the whole domain.  A
+  level's edge takes the values of its range that lie in every one of
+  its ends' windows, so it needs no check.  A strict vertex left with
+  one free edge forces it, and a vertex that a forced value fills is
+  checked; those steps follow the value that sets them off, and a
+  forced edge gets no level.  Whether a balanced window is one value
+  depends on the values, so a balanced edge keeps its level; once all
+  its ends are full, a step works out its interval, and an interval of
+  one value passes the level over.  ``_Problem.solutions`` walks the
+  levels with a stack of those that have values left to try.  A level's
+  value is read only at that level and below, so going back needs no
+  undo, and the number of edges is not bounded by Python's recursion
+  limit.
 
   Summing the strict condition over all vertices, each internal edge
   adds x + (p - x) = p and each leg its inner value, so the inner leg
   values add up to r - (p-2)(g-1), each at least 1.  So a strict search
   at genus >= 2 returns before assigning anything, and at genus 1 it
-  pins every inner leg value to 1 beside the seeds.  Neither the windows
+  pins every inner leg value to 1, in the legs' levels.  Neither the windows
   nor the pin drop a numbering, so the stream is the full one.
   ``count_by_contraction`` and the test oracles use neither, so they
   still check the genus statements independently.
@@ -62,7 +66,9 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
   up to the count, and for a by-exponent census each row is a cell.
 
 Constraints (an exponent vector for strict queries, a radii vector for
-balanced ones) pin the leg variables before either engine starts.
+balanced ones) seed the leg variables, and each engine turns away a seed
+outside the domain on its own: the backtracker's seeded level has no
+value to try, and no row of contraction's tripod table carries it.
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ class _Problem:
         # Legs in marking order: (edge index, open slot).
         self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
 
-        self.feasible = True
+        # The leg values a constraint asks for, in or out of the domain.
         self.seeds: dict[int, int] = {}
         if query.constraint is not None:
             if len(query.constraint) != len(self.legs):
@@ -172,9 +178,6 @@ class _Problem:
                     f"graph has {len(self.legs)} legs"
                 )
             for (ei, _), x in zip(self.legs, self.read_legs(query.constraint)):
-                if x not in self.domain:
-                    self.feasible = False
-                    break
                 self.seeds[ei] = x
 
     def read_legs(self, values: tuple[int, ...]) -> ExponentVector:
@@ -229,16 +232,16 @@ class _Problem:
 
     # -- search plan --------------------------------------------------------
 
-    def plan(self):
-        """The search compiled once per query: (values, root, levels), or
-        None when a seed contradicts the strict genus-1 pin.
-
-        ``values`` holds the seeded and pinned values (None elsewhere) and
-        ``root`` the steps that follow them.  ``levels`` has one
-        (edge, windows, steps) per branched edge, in declaration order: the
-        window rules its values are drawn from, then the steps its value
-        sets off.  Which edges are known at each depth does not depend on
-        the values, so each rule lists only the known terms.
+    def plan(self) -> list:
+        """The search compiled once per query: its levels, each
+        (edge, lo, hi, windows, steps).  The seeded and pinned legs come
+        first, in edge order, each over the domain narrowed to its fixed
+        values: one value, or none when a seed lies outside the domain or
+        disagrees with the pin.  Then every other edge no step forces, in
+        declaration order, over the whole domain.  A level's values are
+        drawn from lo..hi and its window rules; its value sets off its
+        steps.  Which edges are known at each depth does not depend on the
+        values, so each rule lists only the known terms.
 
         A step is (edge, check, windows, settle).  It reads the interval
         the windows leave of the domain, or of the edge's own value when
@@ -247,13 +250,11 @@ class _Problem:
         first value of a balanced edge whose ends are all full.  With
         ``settle``, an interval of one value passes the edge's level over.
         """
-        values = [self.seeds.get(ei) for ei in range(len(self.edges))]
+        fixed = {ei: [x] for ei, x in self.seeds.items()}
         if self.strict and self.genus == 1:
             pinned = self.read_legs((self.p - 1,) * len(self.legs))
             for (ei, _), x in zip(self.legs, pinned):
-                if values[ei] not in (None, x):
-                    return None
-                values[ei] = x
+                fixed.setdefault(ei, []).append(x)
         # Per edge, one end per vertex whose condition reads it, as (vertex,
         # rule, the (edge, rule) pairs of the vertex's other edges): strict,
         # a rule is (slot, total, other terms), balanced the other values
@@ -278,7 +279,7 @@ class _Problem:
             for i, (ei, rule) in enumerate(rules):
                 ends[ei].append((v, rule, tuple(rules[:i] + rules[i + 1:])))
 
-        known = [x is not None for x in values]
+        known = [False] * len(self.edges)
         full = [False] * len(self.vertex_branches)
 
         def window(rule):
@@ -292,25 +293,26 @@ class _Problem:
             k = sum(not known[ej] for ej, _ in terms)
             return (slot, total, tuple(t for t in terms if known[t[0]]), k) if k < 2 else None
 
-        def learn(ei: int, branched: bool) -> list:
+        def learn(ei: int) -> list:
             """Mark ``ei`` known and return the steps that follow.
 
             A vertex is full once it has at most one free edge: a strict
             vertex forces that edge, and a balanced edge is settled once
-            all its ends are full.  A forced or fixed value is checked at
-            each vertex it fills but the one that forced it; a branched
-            value lies in every window of its edge already."""
+            all its ends are full.  A fixed edge still to come keeps its
+            level, so it is never forced or settled.  A forced value is
+            checked at each vertex it fills but the one that forced it; the
+            level's own value lies in every window of its edge already."""
             known[ei] = True
             queue, steps = [ei], []
             while queue:
                 e0 = queue.pop()
                 for v, rule, others in ends[e0]:
                     free = [(e1, rule1) for e1, rule1 in others if not known[e1]]
-                    if full[v] or len(free) > 1:
+                    if full[v] or len(free) > 1 or (free and free[0][0] in fixed):
                         continue
                     full[v] = True
                     if not free:
-                        if not branched:
+                        if e0 != ei:
                             steps.append((e0, True, (window(rule),), False))
                         continue
                     ((e1, rule1),) = free
@@ -320,45 +322,40 @@ class _Problem:
                         queue.append(e1)
                     elif all(full[w] for w, _, _ in ends[e1]):
                         steps.append((e1, False, tuple(window(r) for _, r, _ in ends[e1]), True))
-                branched = False
             return steps
 
-        root = []
-        for ei, x in enumerate(values):
-            if x is not None:
-                root += learn(ei, False)
+        first, last = self.domain[0], self.domain[-1]
         levels = []
-        for ei in range(len(self.edges)):
+        for ei in sorted(fixed) + [ei for ei in range(len(self.edges)) if ei not in fixed]:
             if known[ei]:
                 continue
+            xs = fixed.get(ei, ())
             windows = tuple(filter(None, [window(r) for _, r, _ in ends[ei]]))
-            levels.append((ei, windows, learn(ei, True)))
-        return values, root, levels
+            levels.append((ei, max([first, *xs]), min([last, *xs]), windows, learn(ei)))
+        return levels
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
         """Complete assignments as value tuples in edge declaration order."""
         # Summed over all vertices, the strict condition gives inner leg
         # values adding up to r - (p - 2)(g - 1), each at least 1: none
         # exist at genus >= 2, and at genus 1 every one is 1.
-        if not self.feasible or (self.strict and self.genus >= 2):
+        if self.strict and self.genus >= 2:
             return
-        plan = self.plan()
-        if plan is None:
-            return
-        values, root, levels = plan
+        levels = self.plan()
         window = self.strict_window if self.strict else self.balanced_window
         first, last = self.domain[0], self.domain[-1]
+        values = [first] * len(self.edges)
         # Per level, whether a step settled its edge to one value, so that
         # the level is passed over.  The last entry stands for the end.
         passed = [False] * (len(levels) + 1)
-        level_of = {ei: d for d, (ei, _, _) in enumerate(levels)}
+        level_of = {level[0]: d for d, level in enumerate(levels)}
         # Values are tried in ascending order at each level, so the stream
         # is lexicographic in declaration order.  A level's value is read
         # only at that level and below, so going back needs no undo: the
         # stack holds the levels with values left to try, as (depth, next
-        # value, top value).  The root is depth -1, with no values to try
-        # and the fixed values' steps.
-        d, x, top, steps = -1, 0, -1, root
+        # value, top value).  The search starts above the first level, at
+        # depth -1 with no values to try and no steps.
+        d, x, top, steps = -1, 0, -1, ()
         stack: list[tuple[int, int, int]] = []
         while True:
             for e1, check, windows, settle in steps:
@@ -380,14 +377,14 @@ class _Problem:
                     if x <= top:
                         stack.append((d, x, top))
                     d = nxt
-                    x, top = first, last
-                    for rule in levels[d][1]:
+                    _, x, top, windows, _ = levels[d]
+                    for rule in windows:
                         x, top = window(rule, values, x, top)
             while x > top:
                 if not stack:
                     return
                 d, x, top = stack.pop()
-            ei, _, steps = levels[d]
+            ei, _, _, _, steps = levels[d]
             values[ei] = x
             x += 1
 
@@ -596,9 +593,6 @@ def count_by_contraction(
 ) -> CensusReport:
     """Exact count by variable elimination; independent of the backtracker."""
     problem = _Problem(m, query)
-    if not problem.feasible:
-        return CensusReport(0, "contraction", {} if by_exponent else None)
-
     # A leg meets one vertex, so a leg the read-off does not keep is summed
     # out in its vertex's table rather than by a join, and is in no scope.
     legs = {ei for ei, _ in problem.legs}

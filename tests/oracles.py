@@ -293,7 +293,11 @@ class ReferenceProblem(_Problem):
         # values adding up to r - (p - 2)(g - 1), each at least 1: none
         # exist at genus >= 2, and at genus 1 every one is 1, which is
         # pinned after the seeds (a seed that disagrees ends the search).
-        if not self.feasible or (self.strict and self.genus >= 2):
+        # A seed outside the domain is worked out here, not read off the
+        # engine under test.
+        if self.strict and self.genus >= 2:
+            return
+        if any(x not in self.domain for x in self.seeds.values()):
             return
         # The backtracker's graph form: per edge, one end per vertex whose
         # condition reads it, as (vertex, rule, the (edge, rule) pairs of

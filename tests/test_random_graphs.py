@@ -68,11 +68,13 @@ def _agree(m, p, kind, solutions, read_open):
         _writes_reference(m, a)
     assert list(enumerate_lines(m, query)) == [tv.dumps_numbering(m, a) for a in numberings]
     if m.marking:
-        # A leg value outside the domain is turned away at setup: a strict
-        # exponent 0, a balanced radius (p - 1) / 2.
+        # A leg value outside the domain leaves its seeded level an empty
+        # range: a strict exponent 0, a balanced radius (p - 1) / 2.
         outside = (0 if kind == "strict" else (p - 1) // 2,) * len(m.marking)
         pinned = EnumerationQuery(p, kind, constraint=outside)
-        assert not _Problem(m, pinned).feasible
+        problem = _Problem(m, pinned)
+        ranges = {ei: (lo, hi) for ei, lo, hi, _, _ in problem.plan()}
+        assert all(ranges[ei][0] > ranges[ei][1] for ei in problem.seeds)
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
         assert list(enumerate_lines(m, pinned)) == []
     return numberings

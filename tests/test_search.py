@@ -24,6 +24,7 @@ from oracles import (
     ReferenceProblem,
     naive_balanced,
     naive_strict,
+    open_values_balanced,
     open_values_strict,
     product_vertex_table,
 )
@@ -217,8 +218,8 @@ def test_balanced_constraint_is_radii():
         assert count(m, q).total == expected
         assert count_by_contraction(m, q).total == expected
     assert count(m, EnumerationQuery(5, "balanced", constraint=(4,))).total == 0
-    # Every radius 0..p-1 per leg, against the naive scan; radii above
-    # (p - 3) / 2 are turned away at setup.
+    # Every radius 0..p-1 per leg, against the naive scan; a radius above
+    # (p - 3) / 2 leaves its seeded level an empty range.
     p = 7
     for m in (tv.loop_with_leg(), tv.cycle_with_legs(2)):
         expected = Counter(
@@ -228,7 +229,10 @@ def test_balanced_constraint_is_radii():
             q = EnumerationQuery(p, "balanced", constraint=radii)
             assert count(m, q).total == expected.get(radii, 0)
             assert count_by_contraction(m, q).total == expected.get(radii, 0)
-            assert _Problem(m, q).feasible == (max(radii) <= (p - 3) // 2)
+            problem = _Problem(m, q)
+            ranges = {ei: (lo, hi) for ei, lo, hi, _, _ in problem.plan()}
+            for ei, x in problem.seeds.items():
+                assert (ranges[ei][0] > ranges[ei][1]) == (x > (p - 3) // 2)
 
 
 def test_constraint_arity_mismatch():
@@ -471,6 +475,26 @@ def test_search_hits_no_dead_ends(monkeypatch, kind, name, p):
     assert len(results) <= 2 * edges * (n + 1)
 
 
+@pytest.mark.parametrize(
+    "name,p", [(name, p) for kind, name, p in DEAD_END_CASES if kind == "strict"]
+)
+def test_seeded_search_hits_no_dead_ends(monkeypatch, name, p):
+    # Seeds enter the plan as one-value levels: under each of the first 20
+    # cells of the census, a strict search still meets no empty window and
+    # stays within the same bound.  Balanced cycles do hit empty windows
+    # under radii constraints, so they are left out.
+    m = build(name)
+    results = _window_reads(monkeypatch)
+    cells = count(m, EnumerationQuery(p, "strict"), by_exponent=True).by_exponent
+    edges = len(m.graph.edges)
+    for cell in sorted(cells)[:20]:
+        results.clear()
+        n = sum(1 for _ in enumerate_numberings(m, EnumerationQuery(p, "strict", constraint=cell)))
+        assert n == cells[cell]
+        assert results and not any(results)
+        assert len(results) <= 2 * edges * (n + 1)
+
+
 # Streams longer than this are compared with the reference on their
 # first MAX_STREAM tuples.
 MAX_STREAM = 5_000
@@ -559,6 +583,52 @@ def test_genus_one_constraint_against_the_pin(p):
     assert count(m, mixed).total == count_by_contraction(m, mixed).total == 0
     pinned = EnumerationQuery(p, "strict", constraint=(p - 1,) * 3)
     assert count(m, pinned).total == count_by_contraction(m, pinned).total == p - 1
+
+
+INFEASIBLE_GRAPHS = (
+    "tripod", "loop_with_leg", "figure_tree", *(f"cycle{n}" for n in range(1, 9)),
+    *(f"random{s}" for s in (*range(60), *range(1000, 1100)) if GRAPHS[f"random{s}"].type[1]),
+)
+
+
+@pytest.mark.parametrize("name", (*INFEASIBLE_GRAPHS, "cycle_with_legs(1200)"))
+def test_infeasible_constraints_end_at_the_first_level(monkeypatch, name):
+    # A leg value outside the domain (a strict exponent 0, a balanced radius
+    # (p - 1) / 2), or at genus 1 a strict exponent other than the pinned
+    # p - 1, leaves the first level, a leg's, no value.  A leg has one end,
+    # so the search reads at most one window; contraction finds no row.
+    m = tv.cycle_with_legs(1200) if name == "cycle_with_legs(1200)" else build(name)
+    r = len(m.marking)
+    results = _window_reads(monkeypatch)
+    for p in (5, 7):
+        constraints = [("strict", (0,) * r), ("balanced", ((p - 1) // 2,) * r)]
+        if tv.graph_type(m).g == 1:
+            constraints.append(("strict", (3,) * r))
+        for kind, constraint in constraints:
+            query = EnumerationQuery(p, kind, constraint=constraint)
+            results.clear()
+            assert list(enumerate_lines(m, query)) == []
+            assert len(results) <= 1
+            assert count(m, query).total == count_by_contraction(m, query).total == 0
+
+
+@pytest.mark.parametrize("kind", ("strict", "balanced"))
+@pytest.mark.parametrize("name", ("tripod", "escaping_tripod", "figure_tree", "cycle2"))
+def test_every_constraint_matches_the_scan(name, kind):
+    # A seeded leg that a vertex's other values would force keeps its own
+    # level, so its seed is still read: every constraint's stream matches
+    # the reference's and both counts match the naive scan.
+    m = build(name)
+    p = 5
+    if kind == "strict":
+        expected = Counter(open_values_strict(m, sol) for sol in naive_strict(m, p))
+    else:
+        expected = Counter(open_values_balanced(m, sol) for sol in naive_balanced(m, p))
+    for constraint in itertools.product(range(p), repeat=len(m.marking)):
+        query = EnumerationQuery(p, kind, constraint=constraint)
+        stream = list(_Problem(m, query).solutions())
+        assert stream == list(ReferenceProblem(m, query).solutions())
+        assert len(stream) == count_by_contraction(m, query).total == expected[constraint]
 
 
 def test_long_strict_cycle_backtracking():
