@@ -261,9 +261,9 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 # (balanced): branch (edge i, slot s) sits at 2i + s.  Two callers fill
 # the template: ``dumps_numbering``, from a numbering, with one getter
 # call and one %-format; and the enumerate stream
-# (``search.enumerate_lines``), straight from the search's value tuples
-# laid out by ``_label_values``, which the search's numberings and
-# ``verify.verify_miura`` read too.
+# (``search.enumerate_lines``), straight from the search's value tuples,
+# which hold a solution's values in this order, as the search's
+# numberings and ``verify.verify_miura`` read them too.
 # ``numbering_to_json_obj`` parses the line ``dumps_numbering`` writes.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:
@@ -320,19 +320,6 @@ def _compile_line(g: SemiGraph, strict: bool):
     template = f'{{"p": %d, {head}: {{{entries}}}}}'
     g.numbering_lines[strict] = template, get
     return template, get
-
-
-def _label_values(p: int, strict: bool, values: tuple[int, ...]) -> tuple[int, ...]:
-    """A search solution's values in label order, as ``_compile_line``
-    lays out the keys: a balanced solution's edge values as they are; a
-    strict solution holds each edge's slot-0 value x, laid out as x, p - x
-    per edge."""
-    if not strict:
-        return values
-    out = []
-    for x in values:
-        out += (x, p - x)
-    return tuple(out)
 
 
 def dumps_numbering(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> str:

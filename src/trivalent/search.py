@@ -4,7 +4,11 @@ Both engines read one compiled problem: each vertex as its (edge index,
 slot) branches, and one domain per edge variable.  For strict numberings
 the variable is the slot-0 branch value (1..p-1, slot 1 carrying p - x);
 for balanced numberings it is the edge value, with domain 0..(p-3)/2:
-every edge meets a vertex, where 2 * max <= sum <= p - 2.
+every edge meets a vertex, where 2 * max <= sum <= p - 2.  A solution
+holds its values in label order, the order of the numbering's JSON keys
+(``_Problem.keys``): a balanced edge value per edge, or for strict
+numberings the value of branch (edge i, slot s) at 2i + s, x then p - x
+per edge.
 
 * ``enumerate_numberings``, ``enumerate_lines`` (the JSON lines of the
   same stream, for the CLI) and ``count`` run a depth-first backtracking
@@ -20,11 +24,14 @@ every edge meets a vertex, where 2 * max <= sum <= p - 2.
 
   Which edges are known at each depth does not depend on the values, so
   ``_Problem.plan`` compiles the search once per query into levels, with
-  each window rule listing only the known terms.  The seeded and pinned
-  legs come first, each over the domain narrowed to its fixed values:
-  one value, or none when a seed lies outside the domain or disagrees
-  with the pin, which ends the search at that level.  Then comes one
-  level per other edge that no vertex forces, over the whole domain.  A
+  each window rule listing only the known terms, by label position.  A
+  level or step sets one edge's value at its label position, and a
+  strict one writes p - x beside its x, so a window reads every known
+  term as it is stored, whatever its slot.  The seeded and pinned legs
+  come first, each over the domain narrowed to its fixed values: one
+  value, or none when a seed lies outside the domain or disagrees with
+  the pin, which ends the search at that level.  Then comes one level
+  per other edge that no vertex forces, over the whole domain.  A
   level's edge takes the values of its range that lie in every one of
   its ends' windows, so it needs no check.  A strict vertex left with
   one free edge forces it, and a vertex that a forced value fills is
@@ -87,7 +94,6 @@ from .numbering import (
     ExponentVector,
     _built,
     _compile_line,
-    _label_values,
     check_prime,
 )
 from .semigraph import MarkedSemiGraph, StructureError, require_valid
@@ -162,12 +168,15 @@ class _Problem:
             tuple((index[eid], slot) for eid, slot in g.branches_at[v]) for v in g.vertices
         ]
         self.edge_ids = [e.id for e in self.edges]
-        # The key of each value ``_label_values`` lays out.
+        # The key of each value of a solution, in label order.
         self.keys = list(g.branches()) if self.strict else self.edge_ids
         self.domain = range(1, self.p) if self.strict else range((self.p - 1) // 2)
 
         # Legs in marking order: (edge index, open slot).
         self.legs = [(index[eid], g.edge(eid).open_slot()) for eid in m.marking]
+        # Where each leg's exponent (strict) or radius (balanced) sits in a
+        # solution.
+        self.open_positions = [2 * ei + slot if self.strict else ei for ei, slot in self.legs]
 
         # The leg values a constraint asks for, in or out of the domain.
         self.seeds: dict[int, int] = {}
@@ -196,16 +205,16 @@ class _Problem:
         """The part of lo..hi a strict vertex admits on an end's edge.
 
         ``rule`` is (slot, total, known, k): the edge's slot, what the
-        vertex's terms add up to, the other terms whose values are known
-        (edge index, slot) and the number k of free ones.  With ``need``
-        the total less the known terms, and each free term in 1..p-1, the
-        edge's term lies in [need - k(p-1), need - k]; a slot-1 term is
-        p - x.
+        vertex's terms add up to, the label positions of the other terms
+        whose values are known and the number k of free ones.  With
+        ``need`` the total less the known terms, and each free term in
+        1..p-1, the edge's term lies in [need - k(p-1), need - k]; the
+        edge's value x is that term at slot 0, and p - x at slot 1.
         """
         p = self.p
         slot, need, known, k = rule
-        for ej, s in known:
-            need -= p - values[ej] if s else values[ej]
+        for j in known:
+            need -= values[j]
         a, b = need - k * (p - 1), need - k
         if slot:
             a, b = p - b, p - a
@@ -234,22 +243,27 @@ class _Problem:
 
     def plan(self) -> list:
         """The search compiled once per query: its levels, each
-        (edge, lo, hi, windows, steps).  The seeded and pinned legs come
-        first, in edge order, each over the domain narrowed to its fixed
-        values: one value, or none when a seed lies outside the domain or
-        disagrees with the pin.  Then every other edge no step forces, in
-        declaration order, over the whole domain.  A level's values are
-        drawn from lo..hi and its window rules; its value sets off its
-        steps.  Which edges are known at each depth does not depend on the
-        values, so each rule lists only the known terms.
+        (position, lo, hi, windows, steps).  A level or step sets one
+        edge's value, at its label position in a solution: 2i for edge i
+        when strict (the slot-0 value x, with p - x at 2i + 1), i when
+        balanced.  The seeded and pinned legs come first, in edge order,
+        each over the domain narrowed to its fixed values: one value, or
+        none when a seed lies outside the domain or disagrees with the
+        pin.  Then every other edge no step forces, in declaration order,
+        over the whole domain.  A level's values are drawn from lo..hi and
+        its window rules; its value sets off its steps.  Which edges are
+        known at each depth does not depend on the values, so each rule
+        lists only the known terms, by label position.
 
-        A step is (edge, check, windows, settle).  It reads the interval
-        the windows leave of the domain, or of the edge's own value when
-        ``check`` is set; an empty one fails the branch.  Otherwise the
-        edge takes the low end: the value a strict vertex forces, or the
-        first value of a balanced edge whose ends are all full.  With
-        ``settle``, an interval of one value passes the edge's level over.
+        A step is (position, check, windows, settle).  It reads the
+        interval the windows leave of the domain, or of the edge's own
+        value when ``check`` is set; an empty one fails the branch.
+        Otherwise the edge takes the low end: the value a strict vertex
+        forces, or the first value of a balanced edge whose ends are all
+        full.  With ``settle``, an interval of one value passes the edge's
+        level over.
         """
+        at = 2 if self.strict else 1
         fixed = {ei: [x] for ei, x in self.seeds.items()}
         if self.strict and self.genus == 1:
             pinned = self.read_legs((self.p - 1,) * len(self.legs))
@@ -291,7 +305,8 @@ class _Problem:
                 return rule if all(known[ej] for ej in rule) else None
             slot, total, terms = rule
             k = sum(not known[ej] for ej, _ in terms)
-            return (slot, total, tuple(t for t in terms if known[t[0]]), k) if k < 2 else None
+            known_at = tuple(2 * ej + s for ej, s in terms if known[ej])
+            return (slot, total, known_at, k) if k < 2 else None
 
         def learn(ei: int) -> list:
             """Mark ``ei`` known and return the steps that follow.
@@ -313,12 +328,12 @@ class _Problem:
                     full[v] = True
                     if not free:
                         if e0 != ei:
-                            steps.append((e0, True, (window(rule),), False))
+                            steps.append((at * e0, True, (window(rule),), False))
                         continue
                     ((e1, rule1),) = free
                     if self.strict:
                         known[e1] = True
-                        steps.append((e1, False, (window(rule1),), False))
+                        steps.append((at * e1, False, (window(rule1),), False))
                         queue.append(e1)
                     elif all(full[w] for w, _, _ in ends[e1]):
                         steps.append((e1, False, tuple(window(r) for _, r, _ in ends[e1]), True))
@@ -331,20 +346,23 @@ class _Problem:
                 continue
             xs = fixed.get(ei, ())
             windows = tuple(filter(None, [window(r) for _, r, _ in ends[ei]]))
-            levels.append((ei, max([first, *xs]), min([last, *xs]), windows, learn(ei)))
+            levels.append((at * ei, max([first, *xs]), min([last, *xs]), windows, learn(ei)))
         return levels
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
-        """Complete assignments as value tuples in edge declaration order."""
+        """Complete assignments as value tuples in label order: a
+        balanced edge value per edge, or for strict numberings the value
+        of branch (edge i, slot s) at 2i + s, x then p - x per edge."""
         # Summed over all vertices, the strict condition gives inner leg
         # values adding up to r - (p - 2)(g - 1), each at least 1: none
         # exist at genus >= 2, and at genus 1 every one is 1.
         if self.strict and self.genus >= 2:
             return
         levels = self.plan()
-        window = self.strict_window if self.strict else self.balanced_window
+        p, strict = self.p, self.strict
+        window = self.strict_window if strict else self.balanced_window
         first, last = self.domain[0], self.domain[-1]
-        values = [first] * len(self.edges)
+        values = [first] * len(self.keys)
         # Per level, whether a step settled its edge to one value, so that
         # the level is passed over.  The last entry stands for the end.
         passed = [False] * (len(levels) + 1)
@@ -358,15 +376,17 @@ class _Problem:
         d, x, top, steps = -1, 0, -1, ()
         stack: list[tuple[int, int, int]] = []
         while True:
-            for e1, check, windows, settle in steps:
-                lo, hi = (values[e1], values[e1]) if check else (first, last)
+            for j, check, windows, settle in steps:
+                lo, hi = (values[j], values[j]) if check else (first, last)
                 for rule in windows:
                     lo, hi = window(rule, values, lo, hi)
                 if lo > hi:
                     break
-                values[e1] = lo
+                values[j] = lo
+                if strict:
+                    values[j + 1] = p - lo
                 if settle:
-                    passed[level_of[e1]] = lo == hi
+                    passed[level_of[j]] = lo == hi
             else:
                 nxt = d + 1
                 while passed[nxt]:
@@ -384,12 +404,14 @@ class _Problem:
                 if not stack:
                     return
                 d, x, top = stack.pop()
-            ei, _, _, _, steps = levels[d]
-            values[ei] = x
+            i, _, _, _, steps = levels[d]
+            values[i] = x
+            if strict:
+                values[i + 1] = p - x
             x += 1
 
     def to_numbering(self, sol) -> BranchNumbering | EdgeNumbering:
-        values = dict(zip(self.keys, _label_values(self.p, self.strict, sol)))
+        values = dict(zip(self.keys, sol))
         return _built(BranchNumbering if self.strict else EdgeNumbering, self.p, values)
 
 
@@ -412,14 +434,12 @@ def enumerate_lines(m: MarkedSemiGraph, query: EnumerationQuery) -> Iterator[str
     ``enumerate_numberings(m, query)`` yields, in the same order, filled
     into the graph's compiled template straight from the search's value
     tuples.  The template reads p, then the values in label order, the
-    one layout ``numbering._label_values`` gives a solution: a balanced
-    edge value per edge, or for strict numberings the value of branch
-    (edge i, slot s) at 2i + s, x then p - x per edge."""
+    order ``_Problem.solutions`` yields them in."""
     problem = _Problem(m, query)
     p, strict = problem.p, problem.strict
     template, _ = m.graph.numbering_lines.get(strict) or _compile_line(m.graph, strict)
     for sol in itertools.islice(problem.solutions(), query.limit):
-        yield template % ((p,) + _label_values(p, strict, sol))
+        yield template % ((p,) + sol)
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:
@@ -427,8 +447,7 @@ def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False
     problem = _Problem(m, query)
     if not by_exponent:
         return CensusReport(sum(1 for _ in problem.solutions()), "backtracking")
-    leg_values = _getter([ei for ei, _ in problem.legs])
-    cells = Counter(problem.read_legs(leg_values(sol)) for sol in problem.solutions())
+    cells = Counter(map(_getter(problem.open_positions), problem.solutions()))
     return CensusReport(sum(cells.values()), "backtracking", dict(cells))
 
 

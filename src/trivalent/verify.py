@@ -22,10 +22,10 @@ The checked statements:
 * the Miura transformation is edge-consistent on every strict
   numbering, its image is balanced, and radii transform componentwise
   (``verify_miura``).  Unlike the other verifiers, it reads the
-  search's value tuples straight, each laid out once in label order
-  (``numbering._label_values``: branch (edge i, slot s) at 2i + s), takes
-  the edge images from ``miura._edge_images`` as ``miura_transform``
-  does, and builds a numbering object only for a witness;
+  search's value tuples as they come, branch values in label order
+  (branch (edge i, slot s) at 2i + s), takes the edge images from
+  ``miura._edge_images`` as ``miura_transform`` does, and builds a
+  numbering object only for a witness;
 
 * a worked five-leg tree with p = 11 behaves exactly as displayed
   (``verify_figure_vector``).
@@ -38,7 +38,6 @@ from dataclasses import asdict, dataclass
 from .miura import _edge_images, miura_transform, mu_value
 from .numbering import (
     BranchNumbering,
-    _label_values,
     balanced_triple,
     check_prime,
     exponent_of,
@@ -234,19 +233,17 @@ class _MuTable(dict):
 
 def _exponent_reader(problem: _Problem):
     """What ``exponent_of`` reads, the open branch values in marking
-    order, as a getter on a solution's branch values in label order (see
-    ``verify_miura``)."""
-    return _getter([2 * ei + slot for ei, slot in problem.legs])
+    order, as a getter on a solution (``_Problem.open_positions``)."""
+    return _getter(problem.open_positions)
 
 
 def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     """Edge consistency, balancedness and radii compatibility on every strict numbering.
 
-    The checks read the search's value tuples directly.  Each solution's
-    branch values are laid out once, in label order, as the JSON line and
-    the search's numberings lay them out (``numbering._label_values``):
-    branch (edge i, slot s) at position 2i + s.  The positions each check
-    reads are worked out once per call.  The edge images come from
+    The checks read the search's value tuples as they come: a solution
+    holds its branch values in label order, as the JSON line lays them
+    out, branch (edge i, slot s) at position 2i + s.  The positions each
+    check reads are worked out once per call.  The edge images come from
     ``miura._edge_images``, the code ``miura_transform`` runs, with mu
     read through ``mu_value`` once per value seen.  A check fails with
     the message the per-numbering path (``miura_transform``,
@@ -264,8 +261,7 @@ def verify_miura(m: MarkedSemiGraph, p: int) -> TheoremReport:
     total = p + 1
     mu = _MuTable(p).__getitem__
 
-    def error_of(sol: tuple[int, ...]) -> str | None:
-        branch = _label_values(p, True, sol)
+    def error_of(branch: tuple[int, ...]) -> str | None:
         if 0 in branch:
             return "miura_transform requires a strict branch numbering"
         for a, b, c in branch_at:

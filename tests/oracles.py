@@ -288,7 +288,8 @@ class ReferenceProblem(_Problem):
         return (a if a > lo else lo), (b if b < hi else hi)
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
-        """Complete assignments as value tuples in edge declaration order."""
+        """Complete assignments as value tuples in label order: the edge
+        values in declaration order, each strict x followed by p - x."""
         # Summed over all vertices, the strict condition gives inner leg
         # values adding up to r - (p - 2)(g - 1), each at least 1: none
         # exist at genus >= 2, and at genus 1 every one is 1, which is
@@ -385,6 +386,11 @@ class ReferenceProblem(_Problem):
                 if try_assign(ei, x) < 0:
                     return
 
+        def laid_out() -> tuple[int, ...]:
+            if not self.strict:
+                return tuple(values)
+            return tuple(y for x in values for y in (x, self.p - x))
+
         def next_free(ei: int) -> int:
             while ei < n and values[ei] is not None:
                 ei += 1
@@ -405,7 +411,7 @@ class ReferenceProblem(_Problem):
         # the state the interval [next value, top] was read from.
         ei = next_free(0)
         if ei == n:
-            yield tuple(values)
+            yield laid_out()
             return
         x, top = admitted(ei)
         stack: list[tuple[int, int, int, int]] = []
@@ -417,7 +423,7 @@ class ReferenceProblem(_Problem):
                     continue
                 nxt = next_free(ei + 1)
                 if nxt == n:
-                    yield tuple(values)
+                    yield laid_out()
                     undo(mark)
                 else:
                     stack.append((ei, x, top, mark))

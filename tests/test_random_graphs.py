@@ -73,8 +73,10 @@ def _agree(m, p, kind, solutions, read_open):
         outside = (0 if kind == "strict" else (p - 1) // 2,) * len(m.marking)
         pinned = EnumerationQuery(p, kind, constraint=outside)
         problem = _Problem(m, pinned)
-        ranges = {ei: (lo, hi) for ei, lo, hi, _, _ in problem.plan()}
-        assert all(ranges[ei][0] > ranges[ei][1] for ei in problem.seeds)
+        # Levels name the label position they set: 2i for strict edge i.
+        at = 2 if kind == "strict" else 1
+        ranges = {i: (lo, hi) for i, lo, hi, _, _ in problem.plan()}
+        assert all(ranges[at * ei][0] > ranges[at * ei][1] for ei in problem.seeds)
         assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
         assert list(enumerate_lines(m, pinned)) == []
     return numberings

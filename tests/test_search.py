@@ -505,19 +505,35 @@ PLAN_GRAPHS = (
 )
 
 
+def _in_label_order(m, problem, stream):
+    """Each tuple holds a value per label of the numbering's JSON line, in
+    its order: 2E strict branch values, x then p - x per edge, or E
+    balanced edge values."""
+    g, strict = m.graph, problem.strict
+    keys = list(g.branches()) if strict else [e.id for e in g.edges]
+    for sol in stream:
+        assert len(sol) == (2 if strict else 1) * len(g.edges)
+        if strict:
+            assert all(sol[i] + sol[i + 1] == problem.p for i in range(0, len(sol), 2))
+        assert problem.to_numbering(sol).values == dict(zip(keys, sol))
+
+
 def _same_streams(m, kind, p, rng):
     """The plan's value tuples against the reference search's, in order:
     unconstrained, then under one drawn constraint, the legs of a drawn
-    solution or, when there is none, leg values drawn from 0..p-1."""
+    solution or, when there is none, leg values drawn from 0..p-1.  The
+    unconstrained tuples are also checked to be in label order."""
     query = EnumerationQuery(p, kind)
+    problem = _Problem(m, query)
     expected = list(itertools.islice(ReferenceProblem(m, query).solutions(), MAX_STREAM))
-    assert list(itertools.islice(_Problem(m, query).solutions(), MAX_STREAM)) == expected
+    stream = list(itertools.islice(problem.solutions(), MAX_STREAM))
+    assert stream == expected
+    _in_label_order(m, problem, stream)
     if not m.marking:
         return
-    problem = _Problem(m, query)
 
     def cell(sol):
-        return problem.read_legs(tuple(sol[ei] for ei, _ in problem.legs))
+        return tuple(sol[i] for i in problem.open_positions)
 
     if expected:
         constraint = cell(rng.choice(expected))

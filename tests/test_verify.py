@@ -234,13 +234,14 @@ def all_entries(keys, check):
 
 class NonStrictProblem(_Problem):
     """The search with each solution's last edge value x moved to
-    x mod (p - 1) + 1, which breaks the vertex sums at that edge's ends
-    unless it is a self-loop."""
+    x' = x mod (p - 1) + 1, its slots reading x' and p - x', which breaks
+    the vertex sums at that edge's ends unless it is a self-loop."""
 
     def solutions(self):
         p = self.p
         for sol in super().solutions():
-            yield sol[:-1] + (sol[-1] % (p - 1) + 1,)
+            x = sol[-2] % (p - 1) + 1
+            yield sol[:-2] + (x, p - x)
 
 
 class ZeroFirstProblem(_Problem):
@@ -248,8 +249,9 @@ class ZeroFirstProblem(_Problem):
     slot values are 0 and p; a self-loop's still add up to p."""
 
     def solutions(self):
+        p = self.p
         for sol in super().solutions():
-            yield (0,) + sol[1:]
+            yield (0, p) + sol[2:]
 
 
 def odd_mu(p, m):
