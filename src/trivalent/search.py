@@ -2,7 +2,8 @@
 
 Both engines read one compiled problem: each vertex as its (edge index,
 slot) branches, and one domain per edge variable.  For strict numberings
-the variable is the slot-0 branch value (1..p-1, slot 1 carrying p - x);
+the search's variable is the slot-0 branch value (1..p-1, slot 1
+carrying p - x; contraction reads a leg by its exponent instead, below);
 for balanced numberings it is the edge value, with domain 0..(p-3)/2:
 every edge meets a vertex, where 2 * max <= sum <= p - 2.  A solution
 holds its values in label order, the order of the numbering's JSON keys
@@ -54,28 +55,37 @@ per edge.
   ``count_by_contraction`` and the test oracles use neither, so they
   still check the genus statements independently.
 
-* ``count_by_contraction`` never materializes solutions.  It lists the
-  query's tripod table, the branch-value triples the vertex condition
-  allows, once.  A vertex's shape says, branch by branch, where the
-  branch's edge sits in the vertex's sorted scope, whether the value is
-  flipped (a strict slot 1), which seed the edge must carry and whether
-  it is a leg being summed out.  Each distinct shape is read off the
-  tripod table once into a table of nonzero weighted rows, which every
-  vertex of that shape shares.  A leg meets one vertex, so a leg the
-  answer does not keep is summed out inside its vertex table.  Every
-  other variable is an edge, held by the tables of at most its two ends,
-  and a join replaces the tables it reads, so that holds at every step.
-  Variables are summed out in greedy minimum-degree order, kept up to
-  date join by join: each step joins the two tables at an edge's ends,
-  or sums out of its one table an edge that closes a cycle.  A join
-  matches stored rows on shared variables and never walks a full
-  domain.  The graph is connected, so one table is left: its weights add
-  up to the count, and for a by-exponent census each row is a cell.
+* ``count_by_contraction`` never materializes solutions.  Its variable
+  for an edge is the balanced edge value, the strict slot-0 value, or,
+  on a strict leg, the exponent: the value of its open branch, so its
+  inner branch carries p minus it.  It lists the query's tripod table,
+  the branch-value triples the vertex condition allows, once.  A
+  vertex's shape says, branch by branch, where the branch's edge sits in
+  the vertex's sorted scope, whether the variable is p minus the branch
+  value (a strict slot 1 or a strict leg's inner branch), which seed the
+  edge must carry and whether it is a leg being summed out.  Each
+  distinct shape is read off the tripod table once into a table of
+  nonzero weighted rows, which every vertex of that shape shares.  A leg
+  meets one vertex, so a leg the answer does not keep is summed out
+  inside its vertex table.  Every other variable is an edge, held by the
+  tables of at most its two ends, and a join replaces the tables it
+  reads, so that holds at every step.  Variables are summed out in
+  greedy minimum-degree order, kept up to date join by join: each step
+  joins the two tables at an edge's ends, or sums out of its one table
+  an edge that closes a cycle.  A join matches stored rows on shared
+  variables and never walks a full domain.  The graph is connected, so
+  one table is left: its weights add up to the count, and for a
+  by-exponent census each row, the kept legs' exponents or radii, is a
+  cell.
 
-Constraints (an exponent vector for strict queries, a radii vector for
-balanced ones) seed the leg variables, and each engine turns away a seed
-outside the domain on its own: the backtracker's seeded level has no
-value to try, and no row of contraction's tripod table carries it.
+A constraint (an exponent vector for strict queries, a radii vector for
+balanced ones) is kept as given in ``_Problem.seeds``, and each engine
+reads it its own way.  The backtracker turns a seed, like the genus-1
+pin's exponent p - 1, into its leg's slot-0 value (p - e on a strict leg
+open at slot 1); contraction's leg variables are the seeds themselves.
+Each engine turns away a seed outside the domain on its own: the
+backtracker's seeded level has no value to try, and no row of
+contraction's tripod table carries it.
 """
 
 from __future__ import annotations
@@ -103,6 +113,14 @@ KINDS = ("strict", "balanced")
 
 @dataclass(frozen=True)
 class EnumerationQuery:
+    """What a search or count is asked: the prime ``p``, the ``kind``
+    ("strict" or "balanced"), an optional ``constraint`` and ``limit``.
+
+    ``constraint`` fixes one value per leg, in marking order: the
+    exponent vector for strict queries, the radii vector for balanced
+    ones.  Its entries are stored reduced mod p.  ``limit`` caps the
+    number of numberings a stream yields; counts ignore it."""
+
     p: int
     kind: str
     constraint: ExponentVector | None = None
@@ -178,26 +196,14 @@ class _Problem:
         # solution.
         self.open_positions = [2 * ei + slot if self.strict else ei for ei, slot in self.legs]
 
-        # The leg values a constraint asks for, in or out of the domain.
-        self.seeds: dict[int, int] = {}
-        if query.constraint is not None:
-            if len(query.constraint) != len(self.legs):
-                raise StructureError(
-                    f"constraint has {len(query.constraint)} entries, "
-                    f"graph has {len(self.legs)} legs"
-                )
-            for (ei, _), x in zip(self.legs, self.read_legs(query.constraint)):
-                self.seeds[ei] = x
-
-    def read_legs(self, values: tuple[int, ...]) -> ExponentVector:
-        """The exponent (strict) or radii (balanced) of leg values given in
-        marking order.  A strict leg open at slot 1 shows p - x there.  The
-        map is its own inverse, so it also turns a constraint into the leg
-        values it pins."""
-        if not self.strict:
-            return values
-        p = self.p
-        return tuple(p - x if s else x for x, (_, s) in zip(values, self.legs))
+        # The exponent (strict) or radius (balanced) a constraint asks of
+        # each leg, by edge index, as given: in or out of the domain.
+        constraint = query.constraint
+        if constraint is not None and len(constraint) != len(self.legs):
+            raise StructureError(
+                f"constraint has {len(constraint)} entries, graph has {len(self.legs)} legs"
+            )
+        self.seeds = dict(zip([ei for ei, _ in self.legs], constraint or ()))
 
     # -- vertex windows -----------------------------------------------------
 
@@ -264,11 +270,14 @@ class _Problem:
         level over.
         """
         at = 2 if self.strict else 1
-        fixed = {ei: [x] for ei, x in self.seeds.items()}
-        if self.strict and self.genus == 1:
-            pinned = self.read_legs((self.p - 1,) * len(self.legs))
-            for (ei, _), x in zip(self.legs, pinned):
-                fixed.setdefault(ei, []).append(x)
+        # Each fixed leg's seed and strict genus-1 pin (exponent p - 1), as
+        # slot-0 values: a strict leg open at slot 1 holds p - e there.
+        pin = [self.p - 1] if self.strict and self.genus == 1 else []
+        fixed = {}
+        for ei, slot in self.legs:
+            es = [self.seeds[ei], *pin] if ei in self.seeds else pin
+            if es:
+                fixed[ei] = [self.p - e if self.strict and slot else e for e in es]
         # Per edge, one end per vertex whose condition reads it, as (vertex,
         # rule, the (edge, rule) pairs of the vertex's other edges): strict,
         # a rule is (slot, total, other terms), balanced the other values
@@ -559,11 +568,12 @@ def _shape_rows(shape, triples, p):
 
     A shape has one (position, flip, seed, folded) entry per branch:
     the position of the branch's edge in the vertex's sorted scope,
-    whether its value m is the edge value p - m (a strict slot 1), the
-    seed its edge must carry or None, and whether its edge is a leg
-    summed out here.  Branches at one position (a self-loop) must agree.
-    Rows are keyed by the unfolded positions in order and weigh the
-    number of triples behind them.
+    whether its value m gives the edge's variable p - m (a strict slot 1,
+    or a strict leg's inner branch, since a leg's variable is its
+    exponent), the seed its edge must carry or None, and whether its edge
+    is a leg summed out here.  Branches at one position (a self-loop)
+    must agree.  Rows are keyed by the unfolded positions in order and
+    weigh the number of triples behind them.
     """
     first = {}
     for b, (pos, _, _, _) in enumerate(shape):
@@ -589,15 +599,19 @@ def _shape_rows(shape, triples, p):
 
 def _vertex_factors(problem: _Problem, triples, folded):
     """Each vertex's factor: its scope without the ``folded`` legs, and the
-    rows of its shape (see ``_shape_rows``).  Every distinct shape is read
-    off ``triples`` once and its rows are shared by the vertices with it."""
+    rows of its shape (see ``_shape_rows``).  A strict branch is flipped
+    at slot 1 and on a leg, whose variable is its exponent, so a seed (a
+    constraint's exponent or radius) matches rows as given.  Every
+    distinct shape is read off ``triples`` once and its rows are shared by
+    the vertices with it."""
     strict, seeds = problem.strict, problem.seeds
+    legs = {ei for ei, _ in problem.legs}
     tables = {}
     factors = []
     for incident in problem.vertex_branches:
         scope = sorted({ei for ei, _ in incident})
         shape = tuple(
-            (scope.index(ei), strict and slot == 1, seeds.get(ei), ei in folded)
+            (scope.index(ei), strict and (slot == 1 or ei in legs), seeds.get(ei), ei in folded)
             for ei, slot in incident
         )
         rows = tables.get(shape)
@@ -620,7 +634,8 @@ def count_by_contraction(
     total = sum(table.values())
     if not by_exponent:
         return CensusReport(total, "contraction")
-    # The scope is the kept legs: each row is one cell.
+    # The scope is the kept legs, each read as its exponent or radius, so
+    # each row is one cell as it stands.
     leg_values = _getter([scope.index(ei) for ei, _ in problem.legs])
-    cells = {problem.read_legs(leg_values(row)): n for row, n in table.items()}
+    cells = {leg_values(row): n for row, n in table.items()}
     return CensusReport(total, "contraction", cells)

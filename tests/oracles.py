@@ -165,28 +165,30 @@ def product_vertex_table(m, p, kind, v, constraint=None, fold_legs=False):
     its distinct incident edges (sorted edge indices), by a scan of the
     product of their domains.  The balanced scan runs over 0..p-2, so a
     row the engine's narrower domain loses would show up here.
-    ``constraint`` seeds the legs as exponents (strict) or radii
-    (balanced), reduced mod p.  With ``fold_legs`` the legs leave the
-    scope and each row weighs the number of leg values behind it;
-    otherwise every row weighs 1."""
+    A strict internal edge is keyed by its slot-0 value and a leg by its
+    exponent, the value of its open branch, so its inner branch reads
+    p minus it; a balanced edge by its value.  ``constraint`` seeds the
+    legs as exponents (strict) or radii (balanced), reduced mod p.  With
+    ``fold_legs`` the legs leave the scope and each row weighs the number
+    of leg values behind it; otherwise every row weighs 1."""
     g = m.graph
     strict = kind == "strict"
     index = {e.id: i for i, e in enumerate(g.edges)}
-    seeds = {}
-    for eid, eps in zip(m.marking, constraint or ()):
-        eps %= p
-        seeds[index[eid]] = p - eps if strict and g.edge(eid).open_slot() == 1 else eps
+    seeds = {index[eid]: eps % p for eid, eps in zip(m.marking, constraint or ())}
     incident = [(index[eid], slot) for eid, slot in g.branches_at[v]]
     scope = tuple(sorted({ei for ei, _ in incident}))
     positions = {ei: i for i, ei in enumerate(scope)}
-    legs = {index[eid] for eid in m.marking} if fold_legs else set()
+    marked = {index[eid] for eid in m.marking}
+    legs = marked if fold_legs else set()
     kept = [i for i, ei in enumerate(scope) if ei not in legs]
     domain = range(1, p) if strict else range(p - 1)
     domains = [(seeds[ei],) if ei in seeds else domain for ei in scope]
     rows = {}
     for combo in itertools.product(*domains):
         ms = [
-            p - combo[positions[ei]] if strict and slot == 1 else combo[positions[ei]]
+            p - combo[positions[ei]]
+            if strict and (slot == 1 or ei in marked)
+            else combo[positions[ei]]
             for ei, slot in incident
         ]
         if (sum(ms) == p + 1) if strict else star(p, *ms):
@@ -295,7 +297,8 @@ class ReferenceProblem(_Problem):
         # exist at genus >= 2, and at genus 1 every one is 1, which is
         # pinned after the seeds (a seed that disagrees ends the search).
         # A seed outside the domain is worked out here, not read off the
-        # engine under test.
+        # engine under test: a strict exponent lies in 1..p-1 exactly when
+        # its slot-0 value does.
         if self.strict and self.genus >= 2:
             return
         if any(x not in self.domain for x in self.seeds.values()):
@@ -377,13 +380,16 @@ class ReferenceProblem(_Problem):
                 check = True  # every later value is forced
             return mark
 
+        # Seeds are exponents or radii; a strict leg open at slot 1 holds
+        # p - e at slot 0, where the value is assigned.  The genus-1 pin
+        # reads exponent p - 1 on every leg.
+        slots = dict(self.legs)
         for ei, x in self.seeds.items():
-            if try_assign(ei, x) < 0:
+            if try_assign(ei, self.p - x if self.strict and slots[ei] else x) < 0:
                 return
         if self.strict and self.genus == 1:
-            pinned = self.read_legs((self.p - 1,) * len(self.legs))
-            for (ei, _), x in zip(self.legs, pinned):
-                if try_assign(ei, x) < 0:
+            for ei, slot in self.legs:
+                if try_assign(ei, 1 if slot else self.p - 1) < 0:
                     return
 
         def laid_out() -> tuple[int, ...]:

@@ -41,7 +41,7 @@ PINNED_CELLS = 2
 
 def _agree(m, p, kind, solutions, read_open):
     """Engines against the oracle's solutions: totals, leg cells, each
-    cell counted under its own constraint, and the stream in order."""
+    cell's census under its own constraint, and the stream in order."""
     cells = Counter(read_open(m, sol) for sol in solutions)
     query = EnumerationQuery(p, kind)
     for engine in (count, count_by_contraction):
@@ -49,7 +49,7 @@ def _agree(m, p, kind, solutions, read_open):
         assert engine(m, query, by_exponent=True).by_exponent == cells
     for cell, n in sorted(cells.items())[:4]:
         pinned = EnumerationQuery(p, kind, constraint=cell)
-        assert count(m, pinned).total == count_by_contraction(m, pinned).total == n
+        _pinned_census(m, pinned, n)
         lines = [tv.dumps_numbering(m, a) for a in tv.enumerate_numberings(m, pinned)]
         assert list(enumerate_lines(m, pinned)) == lines and len(lines) == n
     numberings = list(tv.enumerate_numberings(m, query))
@@ -77,9 +77,18 @@ def _agree(m, p, kind, solutions, read_open):
         at = 2 if kind == "strict" else 1
         ranges = {i: (lo, hi) for i, lo, hi, _, _ in problem.plan()}
         assert all(ranges[at * ei][0] > ranges[at * ei][1] for ei in problem.seeds)
-        assert count(m, pinned).total == count_by_contraction(m, pinned).total == 0
+        _pinned_census(m, pinned, 0)
         assert list(enumerate_lines(m, pinned)) == []
     return numberings
+
+
+def _pinned_census(m, pinned, n):
+    """Both engines' by-exponent census under a constraint: n numberings,
+    all in the constraint's own cell, or no cell when n is 0."""
+    cells = {pinned.constraint: n} if n else {}
+    for engine in (count, count_by_contraction):
+        report = engine(m, pinned, by_exponent=True)
+        assert (report.total, report.by_exponent) == (n, cells)
 
 
 def _writes_reference(m, a):
@@ -133,5 +142,4 @@ def test_random_large_graph_engines_agree(seed):
             assert (report.total, report.by_exponent) == (expected.total, expected.by_exponent)
             if by_exponent:
                 for cell, n in sorted(expected.by_exponent.items())[:PINNED_CELLS]:
-                    pinned = EnumerationQuery(p, kind, constraint=cell)
-                    assert count(m, pinned).total == count_by_contraction(m, pinned).total == n
+                    _pinned_census(m, EnumerationQuery(p, kind, constraint=cell), n)

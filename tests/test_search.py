@@ -495,6 +495,24 @@ def test_seeded_search_hits_no_dead_ends(monkeypatch, name, p):
         assert len(results) <= 2 * edges * (n + 1)
 
 
+# Whole unconstrained streams, and the window reads they took when this
+# test was added: a change that makes the search read more must say why.
+WINDOW_READS = (
+    ("strict", "figure_tree", 17, 5_796),
+    ("strict", "tripod", 79, 3_159),
+    ("balanced", "cycle5", 7, 2_957),
+    ("strict", "random1088", 7, 270_505),
+)
+
+
+@pytest.mark.parametrize("kind,name,p,reads", WINDOW_READS)
+def test_window_reads_do_not_grow(monkeypatch, kind, name, p, reads):
+    m = build(name)
+    results = _window_reads(monkeypatch)
+    assert count(m, EnumerationQuery(p, kind)).total > 0
+    assert len(results) <= reads
+
+
 # Streams longer than this are compared with the reference on their
 # first MAX_STREAM tuples.
 MAX_STREAM = 5_000
