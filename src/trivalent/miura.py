@@ -101,8 +101,9 @@ class Pp004Result:
 def check_pp004(p: int) -> Pp004Result:
     """Strictness matches balancedness of the image across the whole census."""
     bad = []
+    mu = [mu_value(p, x) for x in range(p)]
     for triple, strict in tripod_strict_set(p):
-        image = tuple(mu_value(p, x) for x in triple)
+        image = tuple([mu[x] for x in triple])
         if strict != balanced_triple(p, *image):
             bad.append({"triple": triple, "image": image, "strict": strict})
     return Pp004Result(not bad, tuple(bad))

@@ -263,7 +263,9 @@ def radii_of(m: MarkedSemiGraph, a: EdgeNumbering) -> ExponentVector:
 # call and one %-format; and the enumerate stream
 # (``search.enumerate_lines``), straight from the search's value tuples,
 # which hold a solution's values in this order, as the search's
-# numberings and ``verify.verify_miura`` read them too.
+# numberings and ``verify.verify_miura`` read them too.  The stream fills
+# p, the template's first field, once per query, then formats each tuple
+# into what is left; the CLI joins its lines into blocks, one write each.
 # ``numbering_to_json_obj`` parses the line ``dumps_numbering`` writes.
 
 def numbering_to_json_obj(m: MarkedSemiGraph, a: BranchNumbering | EdgeNumbering) -> dict:

@@ -12,10 +12,11 @@ numberings the value of branch (edge i, slot s) at 2i + s, x then p - x
 per edge.
 
 * ``enumerate_numberings``, ``enumerate_lines`` (the JSON lines of the
-  same stream, for the CLI) and ``count`` run a depth-first backtracking
-  search.  Edges are branched in declaration order with values
-  ascending, so the stream is deterministic and lexicographic in the
-  declared edge order.
+  same stream, for the CLI, each one %-format of a search tuple into the
+  graph's line template with p filled in once; the CLI writes them in
+  blocks) and ``count`` run a depth-first backtracking search.  Edges
+  are branched in declaration order with values ascending, so the
+  stream is deterministic and lexicographic in the declared edge order.
 
   The search reads each kind's vertex condition in one place, its
   window (``_Problem.strict_window``, ``_Problem.balanced_window``): at
@@ -443,12 +444,19 @@ def enumerate_lines(m: MarkedSemiGraph, query: EnumerationQuery) -> Iterator[str
     ``enumerate_numberings(m, query)`` yields, in the same order, filled
     into the graph's compiled template straight from the search's value
     tuples.  The template reads p, then the values in label order, the
-    order ``_Problem.solutions`` yields them in."""
+    order ``_Problem.solutions`` yields them in.  p is filled in once,
+    so each line is one %-format of a tuple by a ``map``.
+
+    The problem is built, and the query checked, when this is called,
+    not at the first line."""
     problem = _Problem(m, query)
-    p, strict = problem.p, problem.strict
+    strict = problem.strict
     template, _ = m.graph.numbering_lines.get(strict) or _compile_line(m.graph, strict)
-    for sol in itertools.islice(problem.solutions(), query.limit):
-        yield template % ((p,) + sol)
+    # p is the template's first field, ahead of every label, and a label's
+    # "%" is doubled, so this replaces p's field and nothing else, with
+    # the text the template's own %d gives p.
+    line = template.replace("%d", "%d" % problem.p, 1)
+    return map(line.__mod__, itertools.islice(problem.solutions(), query.limit))
 
 
 def count(m: MarkedSemiGraph, query: EnumerationQuery, by_exponent: bool = False) -> CensusReport:

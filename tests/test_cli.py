@@ -276,9 +276,11 @@ class WriteOnly:
 
     def __init__(self):
         self.hash = hashlib.sha256()
+        self.writes = 0
 
     def write(self, text):
         self.hash.update(text.encode())
+        self.writes += 1
         return len(text)
 
     def flush(self):
@@ -291,6 +293,26 @@ def test_enumerate_writes_through_write_and_flush_only(monkeypatch, tmp_path, ki
     monkeypatch.setattr(sys, "stdout", out)
     assert main(_stream_argv(tmp_path, kind, graph, p)) == 0
     assert out.hash.hexdigest() == STREAM_DIGESTS[(kind, graph, p)]
+
+
+# Strict tripod at p = 61 has C(61, 2) = 1,830 numberings.  enumerate writes
+# its lines in blocks, so limits on either side of a block's edge, and of the
+# stream's end, must each cut the full stream after exactly that many lines.
+TRIPOD_61 = ["enumerate", "--builtin", "tripod", "--p", "61", "--kind", "strict"]
+
+
+@pytest.mark.parametrize("k", (0, 1, 2, 63, 64, 65, 127, 128, 129, 1829, 1830, 1831, 5000))
+def test_enumerate_limit_cuts_at_any_line(capsys, k):
+    full = run(capsys, *TRIPOD_61)[1].splitlines(keepends=True)
+    assert len(full) == 1830
+    assert run(capsys, *TRIPOD_61, "--limit", str(k)) == (0, "".join(full[:k]), "")
+
+
+def test_enumerate_writes_lines_in_blocks(monkeypatch):
+    out = WriteOnly()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(TRIPOD_61) == 0
+    assert 0 < out.writes < 1830 / 32
 
 
 # Every command but enumerate (frozen by STREAM_DIGESTS above) on the builtins,
